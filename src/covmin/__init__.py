@@ -52,6 +52,7 @@ from .families import (
     match_box,
     match_segment_sum,
     match_weighted_simplex,
+    recognize,
     segment,
     segment_sum_minima,
     segment_sum_table,
@@ -96,7 +97,6 @@ from .polytope import (
     index_set,
     is_locally_anti_blocking,
     support,
-    vrep_to_hrep,
 )
 from .verify import CheckResult, run_suite
 

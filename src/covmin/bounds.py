@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import (
+    EmptySlice,
     IndexOutOfRange,
     InputError,
     MissingLambda,
@@ -28,7 +29,7 @@ from .errors import (
 from .families import MinimaTable, TableEntry, WeightVector, combine_direct_sum
 from .lattice import Interval, Lattice
 from .linalg import vec
-from .polytope import Polytope, coord_slice
+from .polytope import Polytope, coord_slice, lattice_coordinates
 
 PROJECTION_THM = "PROJECTION_THM"
 INTERSECTION_THM = "INTERSECTION_THM"
@@ -115,16 +116,14 @@ def intersection_bound(
         raise InputError("lattice dimension mismatch")
     if not 1 <= i <= d:
         raise IndexOutOfRange(f"index {i} outside 1..{d}")
-    Kt = K if lattice.is_identity() else Polytope(
-        [lattice.coefficients(v) for v in K.vertices]
-    )
+    Kt = lattice_coordinates(K, lattice)
     best_lo = best_hi = None
     witness = None
     for idx in itertools.combinations(range(d), i):
         try:
             piece = coord_slice(Kt, idx)
-        except Exception as exc:
-            raise SliceDegenerate(idx, f"slice at {idx} failed: {exc}") from exc
+        except EmptySlice as exc:
+            raise SliceDegenerate(idx, f"slice at {idx} is empty") from exc
         if piece.dim != i:
             raise SliceDegenerate(idx)
         iv = cr_oracle(piece)

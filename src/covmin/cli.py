@@ -19,7 +19,7 @@ from . import families, oracle, verify
 from .errors import BudgetExceeded, CovminError, Inconsistent, InputError
 from .lattice import Interval, Lattice
 from .linalg import format_rat, parse_rat
-from .polytope import Polytope, gauge
+from .polytope import Polytope, gauge, lattice_coordinates
 
 EXIT_OK = 0
 EXIT_FAILED_CHECK = 1
@@ -261,9 +261,7 @@ def _cmd_bounds(args, out) -> int:
     body, lattice = _materialize(spec)
     lo_i, hi_i = spec.index or (1, body.ambient_dim)
     tol = _tol(spec)
-    Kt = body if lattice is None or lattice.is_identity() else Polytope(
-        [lattice.coefficients(v) for v in body.vertices]
-    )
+    Kt = lattice_coordinates(body, lattice)
     rows = [("i", "method", "value", "witness")]
     for i in range(lo_i, hi_i + 1):
         for report in oracle.upper_bound_reports(Kt, i, tol):
@@ -279,7 +277,9 @@ def _cmd_family(args, out) -> int:
     print(f"vertices ({len(body.vertices)}):", file=out)
     for v in body.vertices:
         print(f"  {_fmt_vec(v)}", file=out)
-    table = _family_table(spec.body)
+    # the minima are translation invariant: recognize the body before --center
+    # moves it out of standard position
+    table = families.recognize(_body_from_spec(spec.body))
     if table is not None:
         rows = [("i", "value", "provenance")]
         for i, entry in enumerate(table):
@@ -288,32 +288,6 @@ def _cmd_family(args, out) -> int:
                          else f"[{entry.lo}, {entry.hi}]", entry.provenance + tag))
         _print_table(rows, out)
     return EXIT_OK
-
-
-def _family_table(body_spec: dict):
-    if "family" not in body_spec:
-        return None
-    name = body_spec["family"]
-    params = body_spec.get("params") or {}
-    if name == "terminal":
-        return families.weighted_minima_table(
-            families.weights([1] * (int(params["d"]) + 1))
-        )
-    if name == "weighted":
-        return families.weighted_minima_table(
-            families.weights([parse_rat(x) for x in params["omega"]])
-        )
-    if name == "cube":
-        d = int(params["d"])
-        r = parse_rat(params.get("r", 1))
-        return families.box_minima_table([(-r, r)] * d)
-    if name == "crosspolytope":
-        return families.crosspolytope_table(int(params["d"]))
-    if name == "segment":
-        a, b = parse_rat(params["a"]), parse_rat(params["b"])
-        if a <= 0 <= b:
-            return families.segment_sum_table([(a, b)])
-    return None
 
 
 def _cmd_table(args, out) -> int:

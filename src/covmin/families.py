@@ -421,14 +421,17 @@ def match_weighted_simplex(P: Polytope) -> WeightVector | None:
 
 
 def match_box(P: Polytope) -> list[tuple[Fraction, Fraction]] | None:
-    """Recover the side intervals when ``P`` is an axis-aligned box."""
-    if not P.is_full_dimensional():
-        return None
+    """Recover the side intervals when ``P`` is an axis-aligned box.
+
+    ``P`` lies in its bounding box, and a corner of that box lies in ``P``
+    only if it is one of ``P``'s defining points.  So ``P`` is the box
+    exactly when every corner is among its points; no hull is built.
+    """
     lo, hi = P.bbox()
-    if any(a >= b for a, b in zip(lo, hi)):
+    if not lo or any(a >= b for a, b in zip(lo, hi)):
         return None
-    expected = Polytope(itertools.product(*zip(lo, hi)))
-    if P == expected:
+    points = set(P.points)
+    if all(corner in points for corner in itertools.product(*zip(lo, hi))):
         return list(zip(lo, hi))
     return None
 
@@ -463,3 +466,21 @@ def match_segment_sum(P: Polytope) -> list[tuple[Fraction, Fraction]] | None:
     if any(a is None for a in lo) or any(b is None for b in hi):
         return None
     return list(zip(lo, hi))
+
+
+def recognize(P: Polytope) -> MinimaTable | None:
+    """Closed-form minima table of ``P`` w.r.t. the standard lattice, or None.
+
+    Tries a box, then a direct sum of segments, then a weighted simplex; the
+    first match picks the table.
+    """
+    sides = match_box(P)
+    if sides is not None:
+        return box_minima_table(sides)
+    segments = match_segment_sum(P)
+    if segments is not None:
+        return segment_sum_table(segments)
+    w = match_weighted_simplex(P)
+    if w is not None:
+        return weighted_minima_table(w)
+    return None

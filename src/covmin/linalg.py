@@ -72,10 +72,6 @@ def vec_sub(u: RatVec, v: RatVec) -> RatVec:
     return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
-def vec_scale(c: Fraction, v: RatVec) -> RatVec:
-    return tuple(c * a for a in v)
-
-
 def dot(u: RatVec, v: RatVec) -> Fraction:
     return sum((a * b for a, b in zip(u, v, strict=True)), ZERO)
 

@@ -40,20 +40,7 @@ from .errors import (
     OriginNotInterior,
     SliceDegenerate,
 )
-from .families import (
-    BOX_FORMULA,
-    CR_FORMULA,
-    ORACLE,
-    SEGMENT_SUM,
-    MinimaTable,
-    TableEntry,
-    combine_direct_sum,
-    match_box,
-    match_segment_sum,
-    match_weighted_simplex,
-    segment_sum_minima,
-    weighted_covering_radius,
-)
+from .families import ORACLE, MinimaTable, TableEntry, combine_direct_sum, recognize
 from .lattice import Interval, Lattice, group_basis
 from .linalg import RatVec, mat_inverse, rank, vec
 from .polytope import (
@@ -64,6 +51,7 @@ from .polytope import (
     difference_body,
     direct_sum,
     is_locally_anti_blocking,
+    lattice_coordinates,
 )
 
 DEFAULT_TOL = Fraction(1, 10_000)
@@ -171,30 +159,12 @@ class _GaugeGeometry:
             ranges.append(range(lo, hi + 1))
         return ranges
 
-    def exact_min(self, t, start: Fraction | None = None) -> Fraction:
-        """Exact ``min_m gauge(t - m)`` via enumeration over a proven box.
-
-        ``start`` may be any proven upper bound for the minimum at ``t``; it
-        shrinks the search box but never changes the result.
-        """
-        m0 = tuple(floor(x) for x in t)
-        best = self.gauge_at(t, m0)
-        if start is not None and start < best:
-            best = start
-        if best == 0:
-            return Fraction(0)
-        result = None
-        for m in itertools.product(*self.point_ranges(t, t, best)):
-            g = self.gauge_at(t, m)
-            if result is None or g < result:
-                result = g
-        return result if result is not None else best
-
     def exact_min_scaled(self, c, E: int, start: Fraction | None = None) -> Fraction:
         """Exact ``min_m gauge(t - m)`` for the dyadic point ``t = c / 2^E``.
 
-        Same contract as :meth:`exact_min` but the candidate scan runs in
-        integer arithmetic at the common scale ``q * 2^E``.
+        ``start`` may be any proven upper bound for the minimum at ``t``; it
+        shrinks the search box but never changes the result.  The candidate
+        scan runs in integer arithmetic at the common scale ``q * 2^E``.
         """
         d = self.d
         scale = 1 << E
@@ -534,17 +504,9 @@ def covering_radius_value(
 ) -> TableEntry:
     """Covering radius w.r.t. the standard lattice: exact closed form for
     recognized families, otherwise a certified oracle interval."""
-    sides = match_box(P)
-    if sides is not None:
-        value = max(Fraction(1) / (b - a) for a, b in sides)
-        return TableEntry.exact(value, BOX_FORMULA)
-    w = match_weighted_simplex(P)
-    if w is not None:
-        return TableEntry.exact(weighted_covering_radius(w), CR_FORMULA)
-    segments = match_segment_sum(P)
-    if segments is not None:
-        value = segment_sum_minima(segments, len(segments))
-        return TableEntry.exact(value, SEGMENT_SUM)
+    table = recognize(P)
+    if table is not None:
+        return table[P.ambient_dim]
     cert = covering_radius(P, tol=tol, cell_cap=cell_cap)
     return TableEntry.certified(cert.interval, ORACLE)
 
@@ -687,25 +649,14 @@ def minima_sandwich(
     if not 1 <= i <= d:
         raise IndexOutOfRange(f"index {i} outside 1..{d}")
     lattice = lattice or Lattice.standard(d)
-    Kt = K if lattice.is_identity() else Polytope(
-        [lattice.coefficients(v) for v in K.vertices]
-    )
+    Kt = lattice_coordinates(K, lattice)
 
-    sides = match_box(Kt)
-    if sides is not None:
-        value = max(Fraction(1) / (b - a) for a, b in sides)
-        return SandwichResult(i, value, value, "box formula", BOX_FORMULA)
-    segments = match_segment_sum(Kt)
-    if segments is not None:
-        value = segment_sum_minima(segments, i)
-        return SandwichResult(i, value, value, "segment sum formula", SEGMENT_SUM)
-    w = match_weighted_simplex(Kt)
-    if w is not None and i in (1, w.d):
-        ws = w.sorted()
-        value = 1 / (ws[0] + ws[1]) if i == 1 else weighted_covering_radius(ws)
-        return SandwichResult(i, value, value, "weighted formula", CR_FORMULA)
+    table = recognize(Kt)
+    if table is not None and not table[i].conjectured:
+        entry = table[i]
+        return SandwichResult(i, entry.lo, entry.hi, entry.provenance, entry.provenance)
 
-    if w is None and Kt.has_interior_origin() and d <= LAB_DIM_CAP:
+    if table is None and Kt.has_interior_origin() and d <= LAB_DIM_CAP:
         if is_locally_anti_blocking(Kt):
             entry, witness = lab_minima(Kt, i, tol, jobs=jobs)
             return SandwichResult(i, entry.lo, entry.hi, witness, "locally anti-blocking")

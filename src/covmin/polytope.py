@@ -67,6 +67,11 @@ class Polytope:
         return self.dim == self.ambient_dim
 
     @property
+    def points(self) -> tuple[RatVec, ...]:
+        """Defining points, deduplicated and sorted; may include non-vertices."""
+        return self._points
+
+    @property
     def vertices(self) -> tuple[RatVec, ...]:
         """Canonical irredundant vertex list, sorted lexicographically."""
         return self._ensure_hull()[0]
@@ -211,15 +216,6 @@ def _hull(points, ambient_dim, dim):
 # -- spec operations -------------------------------------------------------
 
 
-def vrep_to_hrep(P: Polytope) -> tuple[Facet, ...]:
-    """Exact facet inequalities of a full-dimensional polytope.
-
-    Raises:
-        NotFullDimensional: if the affine hull is a proper subspace.
-    """
-    return P.facets
-
-
 def gauge(P: Polytope, x) -> Fraction:
     """Minkowski functional ``min{t >= 0 : x in t P}``.
 
@@ -257,6 +253,16 @@ def center_translate(P: Polytope) -> tuple[Polytope, RatVec]:
     if not moved.has_interior_origin():
         raise NotFullDimensional("vertex centroid not interior; polytope degenerate")
     return moved, shift
+
+
+def lattice_coordinates(P: Polytope, lattice) -> Polytope:
+    """``P`` in coefficients of ``lattice``'s basis, where the lattice is ``Z^d``.
+
+    ``lattice`` None or the standard lattice returns ``P`` itself.
+    """
+    if lattice is None or lattice.is_identity():
+        return P
+    return Polytope([lattice.coefficients(v) for v in P.vertices])
 
 
 def coord_project(P: Polytope, indices) -> Polytope:

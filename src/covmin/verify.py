@@ -32,6 +32,7 @@ from .families import (
     weights,
 )
 from .oracle import (
+    DEFAULT_TOL,
     covering_radius,
     lab_minima,
     lattice_width,
@@ -41,7 +42,6 @@ from .oracle import (
 )
 from .polytope import Polytope, coord_slice, difference_body
 
-DEFAULT_TOL = Fraction(1, 10_000)
 SUITES = ("direct-sum", "lab", "weighted", "terminal", "kl")
 
 

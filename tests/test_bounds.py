@@ -111,9 +111,11 @@ class TestIntersectionBound:
         assert report.value == F(4, 11)
 
     def test_degenerate_slice_rejected(self):
-        P = Polytope([(0, 0), (1, 1), (1, -1)])
-        with pytest.raises(SliceDegenerate):
-            intersection_bound(P, Lattice.standard(2), 1, formula_cr)
+        flat = Polytope([(0, 0), (1, 1), (1, -1)])
+        off_origin = Polytope([(1, 1), (2, 1), (1, 2)])  # every axis slice is empty
+        for P in (flat, off_origin):
+            with pytest.raises(SliceDegenerate):
+                intersection_bound(P, Lattice.standard(2), 1, formula_cr)
 
     def test_respects_lattice_basis(self):
         # doubling the lattice along x doubles the body in basis coordinates

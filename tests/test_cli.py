@@ -86,6 +86,19 @@ class TestBasicCommands:
         assert "(-1/2, -1/2)" in text
         assert "5/4" in text
 
+    def test_family_box_from_vertices(self):
+        body = {"vertices": [[a, b] for a in ("-1", "1") for b in ("-1/2", "3/2")]}
+        code, text = run_cli("family", "--body", json.dumps(body))
+        assert code == EXIT_OK
+        rows = text.splitlines()[-3:]
+        assert [row.split()[:2] for row in rows] == [["0", "0"], ["1", "1/2"], ["2", "1/2"]]
+        assert "box reciprocal side formula" in rows[-1]
+
+    def test_family_segment_off_origin(self):
+        code, text = run_cli("family", "--family", "segment", "--a", "1", "--b", "2")
+        assert code == EXIT_OK
+        assert text.splitlines()[-1].split()[:2] == ["1", "1"]
+
     def test_weighted_with_conjectured_rows(self):
         code, text = run_cli("family", "--family", "terminal", "--d", "3")
         assert code == EXIT_OK

@@ -26,6 +26,7 @@ from covmin.families import (
     direct_sum_table,
     match_box,
     match_weighted_simplex,
+    recognize,
     segment,
     segment_sum_minima,
     segment_sum_table,
@@ -278,6 +279,44 @@ class TestRecognition:
 
     def test_box_rejects_simplex(self):
         assert match_box(terminal_simplex(2)) is None
+
+    def test_box_with_redundant_points(self):
+        corners = list(itertools.product((-1, 3), (0, 2)))
+        midpoints = [(1, 0), (1, 2), (-1, 1), (3, 1)]
+        P = Polytope(corners + midpoints + [(F(1, 2), F(1, 3))])
+        assert match_box(P) == [(F(-1), F(3)), (F(0), F(2))]
+
+    def test_box_rejects_flat_diagonal(self):
+        assert match_box(Polytope([(0, 0), (1, 1), (2, 2)])) is None
+        assert match_box(Polytope([(0, 0, 0), (1, 1, 0), (1, 0, 0)])) is None
+
+    def test_box_builds_no_hull(self, monkeypatch):
+        import covmin.polytope
+
+        def no_hull(*args):
+            raise AssertionError("match_box built a hull")
+
+        monkeypatch.setattr(covmin.polytope, "_hull", no_hull)
+        assert match_box(terminal_simplex(5)) is None
+        assert match_box(cube(5)) == [(F(-1), F(1))] * 5
+
+
+class TestRecognize:
+    def test_box_tables(self):
+        assert recognize(cube(3)) == box_minima_table([(-1, 1)] * 3)
+        sides = [(F(-1, 2), 1), (-2, F(1, 3))]
+        assert recognize(box(sides)) == box_minima_table(sides)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_crosspolytope_tables(self, d):
+        assert recognize(crosspolytope(d)) == crosspolytope_table(d)
+
+    def test_unsorted_weighted_simplex(self):
+        w = weights([3, F(1, 2), 2, 1])
+        assert recognize(weighted_simplex(w)) == weighted_minima_table(w)
+
+    def test_generic_polygon(self):
+        assert recognize(Polytope([(2, 0), (0, 2), (-1, -1), (1, -1)])) is None
 
 
 class TestTableValidation:

@@ -267,6 +267,15 @@ class TestSandwich:
         assert s.lower == F(3, 2)
         assert s.upper == terminal_intersection_bound(5, 3) == 2
 
+    def test_terminal6_endpoints_exact(self):
+        # the weighted formula is exact at i = 1 and i = d, also in dimension 6
+        T6 = terminal_simplex(6)
+        first = minima_sandwich(T6, None, 1)
+        assert first.is_exact and first.lower == F(1, 2)
+        assert first.ub_witness == "reciprocal lattice width"
+        top = minima_sandwich(T6, None, 6)
+        assert top.is_exact and top.lower == 3
+
     def test_extra_projection_strengthens_lower_bound(self):
         # sheared cube: its width direction is not a coordinate axis
         sheared = Polytope([(3, 2), (1, 0), (-1, 0), (-3, -2)])

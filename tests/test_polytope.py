@@ -18,7 +18,6 @@ from covmin.polytope import (
     gauge,
     is_locally_anti_blocking,
     support,
-    vrep_to_hrep,
 )
 
 F = Fraction
@@ -60,7 +59,7 @@ class TestHull:
         }
 
     def test_terminal_triangle_origin_strictly_inside(self):
-        facets = vrep_to_hrep(T2)
+        facets = T2.facets
         assert len(facets) == 3
         assert all(b > 0 for _, b in facets)
 
