@@ -65,13 +65,7 @@ from .families import (
     weighted_slice,
     weights,
 )
-from .lattice import (
-    Interval,
-    Lattice,
-    group_basis,
-    lattice_points_in_box,
-    lattice_slice,
-)
+from .lattice import Interval, Lattice, group_basis
 from .linalg import Rat, RatMat, RatVec, format_rat, hnf, mat_inverse, parse_rat
 from .oracle import (
     CoveringCertificate,

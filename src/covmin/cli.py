@@ -54,6 +54,12 @@ def _parse_json(text: str, what: str):
     return node
 
 
+def _rat_rows(node, what: str) -> list[list[Fraction]]:
+    if not isinstance(node, list) or not all(isinstance(row, list) for row in node):
+        raise InputError(f"{what} must be a list of rows of rationals")
+    return [[parse_rat(x) for x in row] for row in node]
+
+
 def _fmt_vec(v) -> str:
     return "(" + ", ".join(format_rat(x) for x in v) + ")"
 
@@ -102,32 +108,47 @@ def _body_from_spec(spec: dict) -> Polytope:
         vertices = spec["vertices"]
         if not isinstance(vertices, list) or not vertices:
             raise InputError("body.vertices must be a nonempty list of points")
-        return Polytope([[parse_rat(x) for x in point] for point in vertices])
+        return Polytope(_rat_rows(vertices, "body.vertices"))
     if "family" in spec:
         return _family_body(spec["family"], spec.get("params") or {})
     raise InputError("body needs either 'vertices' or 'family'")
 
 
 def _family_body(name: str, params: dict) -> Polytope:
+    if not isinstance(params, dict):
+        raise InputError("body.params must be an object")
+
+    def param(key):
+        if key not in params:
+            raise InputError(f"family {name!r} needs parameter {key!r}")
+        return params[key]
+
+    def int_param(key) -> int:
+        value = parse_rat(param(key))
+        if value.denominator != 1:
+            raise InputError(f"family {name!r} parameter {key!r} must be an integer")
+        return int(value)
+
     if name == "terminal":
-        return families.terminal_simplex(int(params["d"]))
+        return families.terminal_simplex(int_param("d"))
     if name == "weighted":
-        return families.weighted_simplex(families.weights(
-            [parse_rat(x) for x in params["omega"]]
-        ))
+        omega = param("omega")
+        if not isinstance(omega, list):
+            raise InputError("family 'weighted' parameter 'omega' must be a list")
+        return families.weighted_simplex(families.weights([parse_rat(x) for x in omega]))
     if name == "cube":
-        return families.cube(int(params["d"]), parse_rat(params.get("r", 1)))
+        return families.cube(int_param("d"), parse_rat(params.get("r", 1)))
     if name == "crosspolytope":
-        return families.crosspolytope(int(params["d"]))
+        return families.crosspolytope(int_param("d"))
     if name == "segment":
-        return families.segment(parse_rat(params["a"]), parse_rat(params["b"]))
+        return families.segment(parse_rat(param("a")), parse_rat(param("b")))
     raise InputError(f"unknown family {name!r}; choose from {', '.join(FAMILY_NAMES)}")
 
 
 def _spec_from_args(args) -> ProblemSpec:
     if getattr(args, "body", None):
         body = _parse_json(args.body, "--body")
-        if "vertices" not in body and "family" not in body:
+        if not isinstance(body, dict) or ("vertices" not in body and "family" not in body):
             raise InputError("--body needs 'vertices' or 'family'")
     elif getattr(args, "family", None):
         params: dict = {}
@@ -152,6 +173,8 @@ def _spec_from_args(args) -> ProblemSpec:
     raw = getattr(args, "lattice", None) or getattr(args, "basis", None)
     if raw:
         node = _parse_json(raw, "--lattice")
+        if isinstance(node, dict) and "basis" not in node:
+            raise InputError("--lattice needs a 'basis' key")
         lattice = node["basis"] if isinstance(node, dict) else node
     index = _parse_index_range(args.i) if getattr(args, "i", None) else None
     return ProblemSpec(
@@ -164,19 +187,20 @@ def _spec_from_args(args) -> ProblemSpec:
 
 
 def _parse_index_range(text: str) -> tuple[int, int]:
-    text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
-    value = int(text)
-    return value, value
+    try:
+        values = [int(part) for part in text.strip().split("..", 1)]
+    except ValueError:
+        raise InputError(f"expected an integer N or a range N..M, got {text!r}") from None
+    return values[0], values[-1]
 
 
 def _materialize(spec: ProblemSpec) -> tuple[Polytope, Lattice | None]:
     body = _body_from_spec(spec.body)
     lattice = None
     if spec.lattice is not None:
-        lattice = Lattice([[parse_rat(x) for x in row] for row in spec.lattice])
+        lattice = Lattice(_rat_rows(spec.lattice, "lattice basis"))
+        if lattice.dim != body.ambient_dim:
+            raise InputError(f"lattice has dimension {lattice.dim}, body {body.ambient_dim}")
     if spec.flags.get("center"):
         from .polytope import center_translate
 
@@ -208,6 +232,8 @@ def _cmd_gauge(args, out) -> int:
     spec = _spec_from_args(args)
     body, _ = _materialize(spec)
     point = [parse_rat(x) for x in args.point.split(",")]
+    if len(point) != body.ambient_dim:
+        raise InputError(f"point has {len(point)} coordinates, body {body.ambient_dim}")
     print(f"gauge = {format_rat(gauge(body, point))}", file=out)
     return EXIT_OK
 
@@ -242,13 +268,14 @@ def _cmd_minima(args, out) -> int:
     tol = _tol(spec)
     extra = []
     for raw in args.projection or ():
-        rows_node = _parse_json(raw, "--projection")
-        extra.append([[parse_rat(x) for x in row] for row in rows_node])
+        matrix = _rat_rows(_parse_json(raw, "--projection"), "--projection")
+        if any(len(row) != body.ambient_dim for row in matrix):
+            raise InputError(f"--projection rows need {body.ambient_dim} entries")
+        extra.append(matrix)
     rows = [("i", "lower", "upper", "status", "lower witness", "upper witness")]
     for i in range(lo_i, hi_i + 1):
         extras_for_i = tuple(m for m in extra if len(m) == i)
-        s = oracle.minima_sandwich(body, lattice, i, tol, jobs=args.jobs,
-                                   extra_projections=extras_for_i)
+        s = oracle.minima_sandwich(body, lattice, i, tol, extra_projections=extras_for_i)
         status = "exact" if s.is_exact else "certified"
         rows.append((str(i), format_rat(s.lower), format_rat(s.upper), status,
                      str(s.lb_witness), s.ub_witness))
@@ -378,8 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("minima", help="certified covering minima sandwich")
     _add_body_options(p)
     p.add_argument("--i", help="index or range, e.g. 2 or 1..3")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel covering-radius subcalls (results identical)")
     p.add_argument("--projection", action="append",
                    help="extra rank-i projection as a JSON matrix of rational "
                         "rows; strengthens the lower bound (repeatable)")
@@ -429,9 +454,6 @@ def main(argv=None, out=None) -> int:
         return EXIT_INCONSISTENT
     except CovminError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (KeyError, ValueError, TypeError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

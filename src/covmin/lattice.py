@@ -1,31 +1,14 @@
-"""Lattices with exact rational bases: duals, projections, slices, enumeration."""
+"""Lattices with exact rational bases, their duals, and generated groups."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import ceil, floor
 
 from .errors import BudgetExceeded, InputError, Singular
-from .linalg import (
-    RatMat,
-    RatVec,
-    clear_denominators,
-    det,
-    hnf,
-    integer_kernel,
-    mat,
-    mat_inverse,
-    mat_mul,
-    mat_vec,
-    nullspace,
-    transpose,
-    vec,
-)
+from .linalg import RatMat, RatVec, clear_denominators, det, hnf, mat, mat_inverse, mat_vec, transpose, vec
 
-DEFAULT_ENUM_CAP = 10_000_000
 DEFAULT_SCALE_BITS = 4096
 
 
@@ -137,61 +120,3 @@ def group_basis(generators, ambient_dim: int, *, scale_bits: int = DEFAULT_SCALE
     H, _ = hnf(ints)
     inv = Fraction(1, scale)
     return [tuple(e * inv for e in row) for row in H if any(row)]
-
-
-def lattice_slice(lattice: Lattice, spanning) -> list[RatVec]:
-    """Basis of ``lattice `` intersected with the rational subspace spanned by ``spanning``.
-
-    The subspace's linear equations are pulled back to basis coefficients and
-    solved as an integer kernel problem, so the result is exact and has rank
-    equal to the subspace dimension.
-    """
-    span_rows = [vec(s) for s in spanning]
-    if not span_rows:
-        raise InputError("empty spanning set")
-    equations = nullspace(span_rows)
-    if not equations:
-        return list(lattice.basis)
-    # x = sum_i t_i basis[i] lies in the subspace iff (E B^T) t = 0
-    m = mat_mul(mat(equations), transpose(lattice.basis))
-    ints, _ = clear_denominators(m)
-    kernel = integer_kernel(ints)
-    return [lattice.from_coefficients(t) for t in kernel]
-
-
-def lattice_points_in_box(lattice: Lattice, lo, hi, *, cap: int = DEFAULT_ENUM_CAP) -> list[RatVec]:
-    """All lattice points in the closed axis-aligned box ``[lo, hi]``.
-
-    Coefficient ranges are bounded by mapping the box corners through the
-    inverse basis; candidates beyond ``cap`` raise instead of truncating.
-    """
-    lo = vec(lo)
-    hi = vec(hi)
-    d = lattice.dim
-    if len(lo) != d or len(hi) != d:
-        raise InputError("box dimension mismatch")
-    if any(a > b for a, b in zip(lo, hi)):
-        return []
-    corners = itertools.product(*zip(lo, hi))
-    tmin = [None] * d
-    tmax = [None] * d
-    for corner in corners:
-        t = lattice.coefficients(corner)
-        for i, ti in enumerate(t):
-            if tmin[i] is None or ti < tmin[i]:
-                tmin[i] = ti
-            if tmax[i] is None or ti > tmax[i]:
-                tmax[i] = ti
-    ranges = [range(ceil(a), floor(b) + 1) for a, b in zip(tmin, tmax)]
-    count = 1
-    for r in ranges:
-        count *= len(r)
-        if count > cap:
-            raise BudgetExceeded(f"{count}+ candidate coefficient tuples exceed cap {cap}")
-    points = []
-    basis_t = transpose(lattice.basis)
-    for coeffs in itertools.product(*ranges):
-        x = mat_vec(basis_t, vec(coeffs))
-        if all(a <= xi <= b for xi, a, b in zip(x, lo, hi)):
-            points.append(x)
-    return points

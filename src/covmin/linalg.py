@@ -4,6 +4,12 @@ Scalars are ``Fraction`` (always in lowest terms with positive denominator,
 which the stdlib guarantees), vectors are tuples of Fractions, matrices are
 tuples of row tuples.  Everything here is a pure function of its inputs and
 all values are immutable, so they can be shared freely across threads.
+
+One kernel, :func:`_eliminate`, does every rational row reduction that
+inverse, solve, determinant, rank and kernel read: fraction-free Gauss-Jordan
+elimination (Bareiss 1968) in ``int``, exact because every entry it holds is
+a minor of the row-scaled matrix.  :func:`hnf` (unimodular integer row
+operations) is a different algorithm.
 """
 
 from __future__ import annotations
@@ -89,6 +95,50 @@ def transpose(M: RatMat) -> RatMat:
     return tuple(zip(*M)) if M else ()
 
 
+def _eliminate(rows, cols: int):
+    """Fraction-free Gauss-Jordan elimination (Bareiss 1968).
+
+    Each row is scaled to integers by the lcm of its denominators.  Pivots
+    are sought in the first ``cols`` columns; later columns ride along.  The
+    update ``(p*x - f*y) // prev`` divides exactly: every entry is a minor.
+
+    Returns ``(a, pivots, sign, D, scale)``: the reduced integer rows, whose
+    pivot entries all equal the last pivot ``D`` (so ``a / D`` is the reduced
+    row echelon form), the pivot columns, the swap parity ``+-1`` and the
+    product of the row scales; a nonsingular square input has determinant
+    ``sign * D / scale``.
+    """
+    a = []
+    scale = 1
+    for row in rows:
+        s = lcm(*[x.denominator for x in row])
+        a.append([x.numerator * (s // x.denominator) for x in row])
+        scale *= s
+    n = len(a)
+    pivots: list[int] = []
+    sign = 1
+    prev = 1
+    for c in range(cols):
+        r = len(pivots)
+        if r == n:
+            break
+        piv = next((i for i in range(r, n) if a[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        top = a[r]
+        p = top[c]
+        for i in range(n):
+            if i != r:
+                f = a[i][c]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], top)]
+        prev = p
+        pivots.append(c)
+    return a, pivots, sign, prev, scale
+
+
 def mat_inverse(M: RatMat) -> RatMat:
     """Exact inverse of a square rational matrix.
 
@@ -98,113 +148,48 @@ def mat_inverse(M: RatMat) -> RatMat:
     n = len(M)
     if any(len(row) != n for row in M):
         raise InputError("mat_inverse needs a square matrix")
-    a = [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(M)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise Singular("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv = ONE / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(tuple(row[n:]) for row in a)
+    a, pivots, _, D, _ = _eliminate([(*row, *e) for row, e in zip(M, identity(n))], n)
+    if len(pivots) < n:
+        raise Singular("matrix is singular")
+    return tuple(tuple(Fraction(x, D) for x in row[n:]) for row in a)
 
 
 def mat_solve(M: RatMat, b: RatVec) -> RatVec | None:
     """Solve ``M x = b`` for square ``M``; ``None`` when ``M`` is singular."""
     n = len(M)
-    a = [list(row) + [bi] for row, bi in zip(M, b, strict=True)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = ONE / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(a[i][n] for i in range(n))
+    a, pivots, _, D, _ = _eliminate([(*row, bi) for row, bi in zip(M, b, strict=True)], n)
+    if len(pivots) < n:
+        return None
+    return tuple(Fraction(row[n], D) for row in a)
 
 
 def det(M: RatMat) -> Fraction:
     n = len(M)
-    a = [list(row) for row in M]
-    sign = ONE
-    result = ONE
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return ZERO
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            sign = -sign
-        result *= a[col][col]
-        inv = ONE / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] * inv
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return sign * result
+    _, pivots, sign, D, scale = _eliminate(M, n)
+    if len(pivots) < n:
+        return ZERO
+    return Fraction(sign * D, scale)
 
 
 def rank(M) -> int:
     """Rank of a rational matrix given as any iterable of rows."""
-    a = [list(map(Fraction, row)) for row in M]
-    if not a:
-        return 0
-    rows, cols = len(a), len(a[0])
-    r = 0
-    for col in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = ONE / a[r][col]
-        for i in range(r + 1, rows):
-            if a[i][col] != 0:
-                f = a[i][col] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
+    rows = list(M)
+    return len(_eliminate(rows, len(rows[0]) if rows else 0)[1])
 
 
-def nullspace(M) -> list[RatVec]:
-    """Basis of the rational kernel ``{x : M x = 0}`` via reduced echelon form."""
-    a = [list(map(Fraction, row)) for row in M]
-    if not a:
-        return []
-    rows, cols = len(a), len(a[0])
-    pivots: list[int] = []
-    r = 0
-    for col in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = ONE / a[r][col]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(col)
-        r += 1
-        if r == rows:
-            break
-    free = [c for c in range(cols) if c not in pivots]
+def nullspace(M, cols: int) -> list[RatVec]:
+    """Basis of ``{x in Q^cols : M x = 0}``, one vector per free column of the
+    reduced echelon form (1 there, 0 at the other free columns); ``M`` may
+    have no rows."""
+    a, pivots, _, D, _ = _eliminate(M, cols)
     basis = []
-    for fc in free:
+    for fc in range(cols):
+        if fc in pivots:
+            continue
         v = [ZERO] * cols
         v[fc] = ONE
-        for prow, pcol in enumerate(pivots):
-            v[pcol] = -a[prow][fc]
+        for row, pc in zip(a, pivots):
+            v[pc] = Fraction(-row[fc], D)
         basis.append(tuple(v))
     return basis
 
@@ -273,32 +258,14 @@ def hnf(M) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
     return tuple(map(tuple, A)), tuple(map(tuple, U))
 
 
-def integer_kernel(M) -> list[tuple[int, ...]]:
-    """Basis of the integer kernel ``{t in Z^n : M t = 0}`` of an integer matrix.
-
-    Works by running :func:`hnf` on ``[M^T | I]``; rows whose ``M^T`` block is
-    zero carry unimodular coordinates spanning the kernel lattice.
-    """
-    rows = [list(map(int, row)) for row in M]
-    if not rows:
-        return []
-    k, n = len(rows), len(rows[0])
-    stacked = [[rows[i][j] for i in range(k)] + [1 if j2 == j else 0 for j2 in range(n)] for j in range(n)]
-    H, _ = hnf(stacked)
-    return [tuple(row[k:]) for row in H if all(x == 0 for x in row[:k]) and any(row[k:])]
-
-
 def clear_denominators(vectors) -> tuple[list[tuple[int, ...]], int]:
     """Scale rational vectors by the lcm of all denominators to integer vectors.
 
     Returns ``(integer_vectors, scale)`` with ``integer = scale * rational``.
     """
     vs = [tuple(Fraction(e) for e in v) for v in vectors]
-    scale = 1
-    for v in vs:
-        for e in v:
-            scale = lcm(scale, e.denominator)
-    ints = [tuple(int(e * scale) for e in v) for v in vs]
+    scale = lcm(*[e.denominator for v in vs for e in v])
+    ints = [tuple(e.numerator * (scale // e.denominator) for e in v) for v in vs]
     return ints, scale
 
 

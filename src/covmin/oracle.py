@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, lcm
+from math import ceil, floor
 
 from .bounds import (
     KL_LEMMA,
@@ -42,7 +41,7 @@ from .errors import (
 )
 from .families import ORACLE, MinimaTable, TableEntry, combine_direct_sum, recognize
 from .lattice import Interval, Lattice, group_basis
-from .linalg import RatVec, mat_inverse, rank, vec
+from .linalg import RatVec, clear_denominators, mat_inverse, rank, vec
 from .polytope import (
     Polytope,
     center_translate,
@@ -126,12 +125,7 @@ class _GaugeGeometry:
                 for j in range(d)
             ]
             rows.append(tuple(x / b for x in image))
-        q = 1
-        for row in rows:
-            for x in row:
-                q = lcm(q, x.denominator)
-        self.q = q
-        self.p = [tuple(int(x * q) for x in row) for row in rows]
+        self.p, self.q = clear_denominators(rows)
         coords = [lattice.coefficients(v) for v in body.vertices]
         self.t_lo = tuple(min(c[i] for c in coords) for i in range(d))
         self.t_hi = tuple(max(c[i] for c in coords) for i in range(d))
@@ -511,29 +505,10 @@ def covering_radius_value(
     return TableEntry.certified(cert.interval, ORACLE)
 
 
-def _cr_value_job(args) -> TableEntry:
-    piece, tol = args
-    return covering_radius_value(piece, tol)
-
-
-def _pmap_cr(pieces, tol, jobs: int) -> list[TableEntry]:
-    items = [(piece, tol) for piece in pieces]
-    if jobs <= 1 or len(items) <= 1:
-        return [_cr_value_job(item) for item in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_cr_value_job, items))
-
-
 # -- locally anti-blocking bodies ----------------------------------------------------
 
 
-def lab_minima(
-    K: Polytope,
-    i: int,
-    tol: Fraction = DEFAULT_TOL,
-    *,
-    jobs: int = 1,
-) -> tuple[TableEntry, tuple[int, ...]]:
+def lab_minima(K: Polytope, i: int, tol: Fraction = DEFAULT_TOL) -> tuple[TableEntry, tuple[int, ...]]:
     """Exact i-th covering minimum of a proper locally anti-blocking body.
 
     Equals the largest covering radius among the size-``i`` coordinate
@@ -547,7 +522,7 @@ def lab_minima(
         raise NotLAB("body is not locally anti-blocking")
     index_sets = list(itertools.combinations(range(d), i))
     slices = [coord_slice(K, idx) for idx in index_sets]
-    entries = _pmap_cr(slices, tol, jobs)
+    entries = [covering_radius_value(piece, tol) for piece in slices]
     best_lo = max(entry.lo for entry in entries)
     best_hi = max(entry.hi for entry in entries)
     witness = next(idx for idx, entry in zip(index_sets, entries) if entry.hi == best_hi)
@@ -628,7 +603,6 @@ def minima_sandwich(
     i: int = 1,
     tol: Fraction = DEFAULT_TOL,
     *,
-    jobs: int = 1,
     extra_projections: tuple = (),
 ) -> SandwichResult:
     """Certified bracket for the i-th covering minimum of a general body.
@@ -658,12 +632,12 @@ def minima_sandwich(
 
     if table is None and Kt.has_interior_origin() and d <= LAB_DIM_CAP:
         if is_locally_anti_blocking(Kt):
-            entry, witness = lab_minima(Kt, i, tol, jobs=jobs)
+            entry, witness = lab_minima(Kt, i, tol)
             return SandwichResult(i, entry.lo, entry.hi, witness, "locally anti-blocking")
 
     index_sets = list(itertools.combinations(range(d), i))
     projections = [coord_project(Kt, idx) for idx in index_sets]
-    entries = _pmap_cr(projections, tol, jobs)
+    entries = [covering_radius_value(piece, tol) for piece in projections]
     lower = Fraction(0)
     lb_witness: object = index_sets[0]
     for idx, entry in zip(index_sets, entries):

@@ -21,7 +21,7 @@ from .errors import (
     OriginMissing,
     OriginNotInterior,
 )
-from .linalg import RatVec, clear_denominators, dot, mat_solve, primitive, rank, vec, vec_add, vec_sub
+from .linalg import RatVec, clear_denominators, dot, mat_solve, nullspace, primitive, rank, vec, vec_add, vec_sub
 
 Facet = tuple[tuple[int, ...], Fraction]  # normal . x <= offset, normal primitive integer
 
@@ -150,31 +150,10 @@ def _hyperplane_normal(diffs, d):
 
     Returns None unless the difference vectors span exactly a ``(d-1)``-space.
     """
-    a = [list(row) for row in diffs]
-    cols = d
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = Fraction(1) / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    if r != d - 1:
+    kernel = nullspace(diffs, d)
+    if len(kernel) != 1:
         return None
-    free = next(c for c in range(cols) if c not in pivots)
-    n = [Fraction(0)] * cols
-    n[free] = Fraction(1)
-    for row_idx, pc in enumerate(pivots):
-        n[pc] = -a[row_idx][free]
-    ints, _ = clear_denominators([tuple(n)])
+    ints, _ = clear_denominators(kernel)
     return primitive(ints[0])
 
 

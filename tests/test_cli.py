@@ -119,13 +119,6 @@ class TestDeterminism:
                          "--tol", "1/100")
         assert first == second
 
-    def test_jobs_do_not_change_output(self):
-        base = run_cli("minima", "--family", "cube", "--d", "3", "--i", "2",
-                       "--tol", "1/100")
-        parallel = run_cli("minima", "--family", "cube", "--d", "3", "--i", "2",
-                           "--tol", "1/100", "--jobs", "2")
-        assert base == parallel
-
 
 class TestErrors:
     def test_floats_rejected(self):
@@ -161,6 +154,37 @@ class TestErrors:
         monkeypatch.setattr(cli_mod, "_cmd_width", boom)
         code = cli_mod.main(["width", "--family", "cube", "--d", "2"])
         assert code == 4
+
+    @pytest.mark.parametrize("argv", [
+        ("minima", "--family", "cube", "--d", "2", "--i", "abc"),
+        ("minima", "--family", "cube", "--d", "2", "--i", "1..x"),
+        ("table", "--d", "3..x", "--i", "2"),
+        ("width", "--body", '{"family": "terminal", "params": {}}'),
+        ("width", "--body", '{"family": "terminal", "params": {"d": "3/2"}}'),
+        ("width", "--body", '{"family": "crosspolytope", "params": {"d": null}}'),
+        ("width", "--body", '{"family": "weighted", "params": {}}'),
+        ("width", "--body", '{"family": "segment", "params": {"a": "1"}}'),
+        ("width", "--body", '{"family": "terminal", "params": [3]}'),
+        ("width", "--body", "3"),
+        ("width", "--body", '{"vertices": [1, 2]}'),
+        ("width", "--family", "cube", "--d", "2", "--lattice", '{"bases": [[1, 0], [0, 1]]}'),
+        ("width", "--family", "cube", "--d", "2", "--lattice", "[[1, 0, 0], [0, 1, 0], [0, 0, 1]]"),
+        ("gauge", "--family", "cube", "--d", "2", "--point", "1"),
+        ("minima", "--family", "cube", "--d", "2", "--i", "1", "--projection", '[["1"]]'),
+    ])
+    def test_malformed_input_exits_2(self, argv):
+        code, _ = run_cli(*argv)
+        assert code == EXIT_INPUT
+
+    def test_internal_error_is_not_an_input_error(self, monkeypatch):
+        from covmin import cli as cli_mod
+
+        def boom(args, out):
+            raise KeyError("forced")
+
+        monkeypatch.setattr(cli_mod, "_cmd_width", boom)
+        with pytest.raises(KeyError):
+            cli_mod.main(["width", "--family", "cube", "--d", "2"])
 
 
 class TestProblemSpec:

@@ -1,20 +1,13 @@
-"""Lattice primitives: duals, generated groups, slices, box enumeration."""
+"""Lattice primitives: intervals, duals, generated groups."""
 
-import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from covmin.errors import BudgetExceeded, InputError
-from covmin.lattice import (
-    Interval,
-    Lattice,
-    group_basis,
-    lattice_points_in_box,
-    lattice_slice,
-)
-from covmin.linalg import mat, rank, vec
+from covmin.lattice import Interval, Lattice, group_basis
+from covmin.linalg import rank, vec
 
 F = Fraction
 
@@ -118,60 +111,3 @@ def _solve_in_span(basis, target):
         if lhs != target[i]:
             return None
     return sol
-
-
-class TestLatticeSlice:
-    def test_coordinate_plane(self):
-        basis = lattice_slice(Lattice.standard(3), [vec([1, 0, 0]), vec([0, 1, 0])])
-        assert len(basis) == 2
-        for v in basis:
-            assert v[2] == 0
-        assert rank(basis) == 2
-
-    def test_sum_zero_plane(self):
-        spanning = [vec([1, -1, 0]), vec([0, 1, -1])]
-        basis = lattice_slice(Lattice.standard(3), spanning)
-        assert len(basis) == 2
-        for v in basis:
-            assert sum(v) == 0
-            assert all(e.denominator == 1 for e in v)
-        for target in (vec([1, -1, 0]), vec([0, 1, -1])):
-            coeffs = _solve_in_span(basis, target)
-            assert coeffs is not None
-            assert all(c.denominator == 1 for c in coeffs)
-
-    def test_primitive_line(self):
-        basis = lattice_slice(Lattice.standard(2), [vec([1, 2])])
-        assert len(basis) == 1
-        v = basis[0]
-        assert v in (vec([1, 2]), vec([-1, -2]))
-
-
-class TestPointsInBox:
-    def test_unit_box(self):
-        pts = lattice_points_in_box(Lattice.standard(2), vec([-1, -1]), vec([1, 1]))
-        assert len(pts) == 9
-
-    def test_empty(self):
-        pts = lattice_points_in_box(
-            Lattice.standard(2), vec([F(1, 5), F(1, 5)]), vec([F(4, 5), F(4, 5)])
-        )
-        assert pts == []
-
-    def test_scaled_lattice_matches_bruteforce(self):
-        lat = Lattice([[2, 0], [0, 2]])
-        lo, hi = vec([-2, -2]), vec([2, 2])
-        pts = lattice_points_in_box(lat, lo, hi)
-        brute = []
-        for a, b in itertools.product(range(-3, 4), repeat=2):
-            x = (F(2 * a), F(2 * b))
-            if all(l <= xi <= h for xi, l, h in zip(x, lo, hi)):
-                brute.append(x)
-        assert sorted(pts) == sorted(brute)
-        assert len(pts) == 9
-
-    def test_budget(self):
-        with pytest.raises(BudgetExceeded):
-            lattice_points_in_box(
-                Lattice.standard(2), vec([-100, -100]), vec([100, 100]), cap=10
-            )

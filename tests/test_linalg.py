@@ -1,9 +1,9 @@
-"""Exact linear algebra kernel: inverses, HNF, integer kernels."""
+"""Exact linear algebra: the elimination kernel and its readers, HNF."""
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from covmin.errors import InputError, Singular
 from covmin.linalg import (
@@ -12,14 +12,16 @@ from covmin.linalg import (
     format_rat,
     hnf,
     identity,
-    integer_kernel,
     mat,
     mat_inverse,
     mat_mul,
+    mat_solve,
+    mat_vec,
     nullspace,
     parse_rat,
     primitive,
     rank,
+    transpose,
     vec,
 )
 
@@ -31,6 +33,40 @@ def int_mat(rows):
 
 
 small_rat = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def rat_rows(rows, cols):
+    return st.lists(st.lists(small_rat, min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows)
+
+
+@st.composite
+def rat_matrices(draw, rows=None, cols=None):
+    """Rational matrices up to 6 x 7.  Half of them are products ``L R``
+    through a random inner size, so rank-deficient matrices are common."""
+    n = rows or draw(st.integers(1, 6))
+    m = cols or draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        return mat(draw(rat_rows(n, m)))
+    k = draw(st.integers(0, min(n, m)))
+    L, R = draw(rat_rows(n, k)), draw(rat_rows(k, m))
+    return tuple(
+        tuple(sum((L[i][t] * R[t][j] for t in range(k)), F(0)) for j in range(m))
+        for i in range(n)
+    )
+
+
+square_matrices = st.integers(1, 6).flatmap(lambda n: rat_matrices(n, n))
+
+
+def cofactor_det(M):
+    """Laplace expansion along the first row: slow, but shares no code with det."""
+    if not M:
+        return F(1)
+    return sum(
+        (-1) ** j * M[0][j] * cofactor_det([row[:j] + row[j + 1:] for row in M[1:]])
+        for j in range(len(M)) if M[0][j]
+    )
 
 
 class TestRationals:
@@ -62,12 +98,13 @@ class TestInverse:
         with pytest.raises(Singular):
             mat_inverse(mat([[1, 2], [2, 4]]))
 
-    @given(st.lists(st.lists(small_rat, min_size=3, max_size=3), min_size=3, max_size=3))
-    def test_inverse_multiplies_to_identity(self, rows):
-        m = mat(rows)
-        if det(m) == 0:
-            return
-        assert mat_mul(m, mat_inverse(m)) == identity(3)
+    @given(square_matrices)
+    def test_inverse_multiplies_to_identity(self, M):
+        if det(M) == 0:
+            with pytest.raises(Singular):
+                mat_inverse(M)
+        else:
+            assert mat_mul(M, mat_inverse(M)) == identity(len(M))
 
 
 def assert_hnf_canonical(H):
@@ -128,34 +165,64 @@ class TestHNF:
         assert_hnf_canonical(H)
 
 
+class TestEliminationKernel:
+    @given(square_matrices, st.data())
+    def test_solve(self, M, data):
+        b = vec(data.draw(st.lists(small_rat, min_size=len(M), max_size=len(M))))
+        x = mat_solve(M, b)
+        assert (x is None) == (det(M) == 0)
+        if x is not None:
+            assert mat_vec(M, x) == b
+
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(rat_matrices(n, n), rat_matrices(n, n))))
+    def test_det_multiplicative(self, pair):
+        A, B = pair
+        assert det(mat_mul(A, B)) == det(A) * det(B)
+
+    @settings(deadline=None)
+    @given(square_matrices)
+    def test_det_matches_cofactor_expansion(self, M):
+        assert det(M) == cofactor_det(M)
+
+    @given(rat_matrices())
+    def test_rank_nullity(self, M):
+        cols = len(M[0])
+        kernel = nullspace(M, cols)
+        assert rank(M) + len(kernel) == cols
+        assert rank(M) == rank(transpose(M))
+        for v in kernel:
+            assert mat_vec(M, v) == (0,) * len(M)
+
+    def test_nullspace_without_rows(self):
+        assert nullspace([], 3) == list(identity(3))
+
+
 class TestKernel:
     def test_simple_plane(self):
-        # kernel of (1 1 1) over Z: rank-2 lattice of zero-sum vectors
-        basis = integer_kernel([[1, 1, 1]])
-        assert len(basis) == 2
-        for v in basis:
-            assert sum(v) == 0
+        # 1 at each free column, minus the reduced row at the pivot column
+        assert nullspace([[1, 1, 1]], 3) == [(-1, 1, 0), (-1, 0, 1)]
 
     def test_kernel_annihilates(self):
         M = [[2, -1, 0, 3], [0, 4, -2, 1]]
-        basis = integer_kernel(M)
+        basis = nullspace(M, 4)
         assert len(basis) == 2
         for v in basis:
             for row in M:
                 assert sum(a * b for a, b in zip(row, v)) == 0
 
     def test_full_rank_kernel_empty(self):
-        assert integer_kernel([[1, 0], [0, 1]]) == []
+        assert nullspace([[1, 0], [0, 1]], 2) == []
 
     def test_primitive_vector_recovered(self):
-        # kernel of (2 -1) is generated by (1, 2), not a multiple
-        basis = integer_kernel([[2, -1]])
-        assert basis == [(1, 2)]
+        # the rational kernel of (2 -1) is spanned by (1/2, 1); cleared and
+        # made primitive it is (1, 2), as the hull's facet normals need
+        ints, _ = clear_denominators(nullspace([[2, -1]], 2))
+        assert [primitive(v) for v in ints] == [(1, 2)]
 
 
 class TestMisc:
     def test_nullspace_orthogonal(self):
-        ns = nullspace([vec([1, 1, 1])])
+        ns = nullspace([vec([1, 1, 1])], 3)
         assert len(ns) == 2
         for v in ns:
             assert sum(v) == 0
