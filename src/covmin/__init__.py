@@ -65,7 +65,7 @@ from .families import (
     weighted_slice,
     weights,
 )
-from .lattice import Interval, Lattice, group_basis
+from .lattice import Lattice, group_basis
 from .linalg import Rat, RatMat, RatVec, format_rat, hnf, mat_inverse, parse_rat
 from .oracle import (
     CoveringCertificate,

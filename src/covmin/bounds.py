@@ -27,7 +27,7 @@ from .errors import (
     UnsortedWeights,
 )
 from .families import MinimaTable, TableEntry, WeightVector, combine_direct_sum
-from .lattice import Interval, Lattice
+from .lattice import Lattice
 from .linalg import vec
 from .polytope import Polytope, coord_slice, lattice_coordinates
 
@@ -39,7 +39,7 @@ PROP_WEIGHTED = "PROP_WEIGHTED"
 COR_TERMINAL_INT = "COR_TERMINAL_INT"
 MONOTONE = "MONOTONE"
 
-CrOracle = Callable[[Polytope], Interval]
+CrOracle = Callable[[Polytope], TableEntry]
 
 
 @dataclass(frozen=True)
@@ -49,29 +49,20 @@ class BoundReport:
     body: str
     lattice: str
     index: int
-    value: Fraction | Interval
+    entry: TableEntry
     method: str
     witness: object = None
-    conjectured: bool = False
 
     @property
     def hi(self) -> Fraction:
-        return self.value.hi if isinstance(self.value, Interval) else self.value
-
-    @property
-    def certified(self) -> bool:
-        return not self.conjectured
+        return self.entry.hi
 
     def __str__(self) -> str:
-        tag = " (conjectured)" if self.conjectured else ""
+        tag = " (conjectured)" if self.entry.conjectured else ""
         return (
-            f"mu_{self.index}({self.body}, {self.lattice}) <= {self.value} "
+            f"mu_{self.index}({self.body}, {self.lattice}) <= {self.entry} "
             f"via {self.method}, witness {self.witness}{tag}"
         )
-
-
-def _entry_value(entry: TableEntry) -> Fraction | Interval:
-    return entry.value if entry.is_exact else entry.interval
 
 
 def projection_bound(
@@ -89,9 +80,7 @@ def projection_bound(
     the max-plus combination over all admissible allocations.
     """
     entry, witness = combine_direct_sum(proj_table, slice_table, i)
-    return BoundReport(
-        body, lattice, i, _entry_value(entry), PROJECTION_THM, witness, entry.conjectured
-    )
+    return BoundReport(body, lattice, i, entry, PROJECTION_THM, witness)
 
 
 def intersection_bound(
@@ -132,8 +121,8 @@ def intersection_bound(
         if best_hi is None or iv.hi > best_hi:
             best_hi = iv.hi
             witness = idx
-    value: Fraction | Interval = best_hi if best_lo == best_hi else Interval(best_lo, best_hi)
-    return BoundReport(body, lattice_id, i, value, INTERSECTION_THM, witness, False)
+    entry = TableEntry(best_lo, best_hi, INTERSECTION_THM)
+    return BoundReport(body, lattice_id, i, entry, INTERSECTION_THM, witness)
 
 
 def kl_bound(
@@ -165,8 +154,8 @@ def kl_bound(
         lo += step
         hi += step
         used.append(pos)
-    value: Fraction | Interval = hi if lo == hi else Interval(lo, hi)
-    return BoundReport(body, lattice, i, value, KL_LEMMA, tuple(used), base.conjectured)
+    entry = TableEntry(lo, hi, KL_LEMMA, base.conjectured)
+    return BoundReport(body, lattice, i, entry, KL_LEMMA, tuple(used))
 
 
 # -- closed forms for terminal and weighted simplices -------------------------
@@ -322,7 +311,4 @@ def projection_recursion(
         return result
 
     entry = bound(tuple(range(d)), i)
-    return BoundReport(
-        body, lattice, i, _entry_value(entry), PROJECTION_THM, "coordinate recursion",
-        entry.conjectured,
-    )
+    return BoundReport(body, lattice, i, entry, PROJECTION_THM, "coordinate recursion")

@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import bounds as bounds_mod
 from . import families, oracle, verify
 from .errors import BudgetExceeded, CovminError, Inconsistent, InputError
-from .lattice import Interval, Lattice
+from .lattice import Lattice
 from .linalg import format_rat, parse_rat
 from .polytope import Polytope, gauge, lattice_coordinates
 
@@ -64,43 +64,15 @@ def _fmt_vec(v) -> str:
     return "(" + ", ".join(format_rat(x) for x in v) + ")"
 
 
-def _fmt_value(value) -> str:
-    if isinstance(value, Interval):
-        return f"[{value.lo}, {value.hi}]"
-    return format_rat(value)
-
-
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Lossless description of one request: body, lattice, indices, tolerance."""
+    """One request: body, lattice, indices, tolerance."""
 
     body: dict
     lattice: list | None = None
     index: tuple[int, int] | None = None
     tolerance: str = "1/10000"
     flags: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        payload = {
-            "body": self.body,
-            "lattice": self.lattice,
-            "index": list(self.index) if self.index else None,
-            "tolerance": self.tolerance,
-            "flags": self.flags,
-        }
-        return json.dumps(payload, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "ProblemSpec":
-        node = _parse_json(text, "problem spec")
-        index = node.get("index")
-        return ProblemSpec(
-            body=node["body"],
-            lattice=node.get("lattice"),
-            index=tuple(index) if index else None,
-            tolerance=node.get("tolerance", "1/10000"),
-            flags=node.get("flags") or {},
-        )
 
 
 def _body_from_spec(spec: dict) -> Polytope:
@@ -170,7 +142,7 @@ def _spec_from_args(args) -> ProblemSpec:
     else:
         raise InputError("provide --body or --family")
     lattice = None
-    raw = getattr(args, "lattice", None) or getattr(args, "basis", None)
+    raw = getattr(args, "lattice", None)
     if raw:
         node = _parse_json(raw, "--lattice")
         if isinstance(node, dict) and "basis" not in node:
@@ -292,8 +264,7 @@ def _cmd_bounds(args, out) -> int:
     rows = [("i", "method", "value", "witness")]
     for i in range(lo_i, hi_i + 1):
         for report in oracle.upper_bound_reports(Kt, i, tol):
-            rows.append((str(i), report.method, _fmt_value(report.value),
-                         str(report.witness)))
+            rows.append((str(i), report.method, str(report.entry), str(report.witness)))
     _print_table(rows, out)
     return EXIT_OK
 
@@ -311,8 +282,7 @@ def _cmd_family(args, out) -> int:
         rows = [("i", "value", "provenance")]
         for i, entry in enumerate(table):
             tag = " (conjectured)" if entry.conjectured else ""
-            rows.append((str(i), format_rat(entry.lo) if entry.is_exact
-                         else f"[{entry.lo}, {entry.hi}]", entry.provenance + tag))
+            rows.append((str(i), str(entry), entry.provenance + tag))
         _print_table(rows, out)
     return EXIT_OK
 
@@ -321,18 +291,15 @@ def _cmd_table(args, out) -> int:
     d_lo, d_hi = _parse_index_range(args.d_range)
     i_lo, i_hi = _parse_index_range(args.i)
     rows = bounds_mod.bound_table(range(d_lo, d_hi + 1), range(i_lo, i_hi + 1))
+    if not rows:
+        raise InputError(f"no index pair with 2 <= i <= d for d in {args.d_range}, i in {args.i}")
     header = ("d", "i", "projection", "intersection", "chain", "conjectured")
     if args.csv:
         print(",".join(header), file=out)
         for row in rows:
-            print(",".join(format_rat(x) if isinstance(x, Fraction) else str(x)
-                           for x in row), file=out)
+            print(",".join(str(x) for x in row), file=out)
     else:
-        text_rows = [header] + [
-            tuple(format_rat(x) if isinstance(x, Fraction) else str(x) for x in row)
-            for row in rows
-        ]
-        _print_table(text_rows, out)
+        _print_table([header] + [tuple(str(x) for x in row) for row in rows], out)
     if args.plot_data:
         with open(args.plot_data, "w", encoding="utf-8") as handle:
             for d, i, proj, inter, chain, conj in rows:
@@ -376,7 +343,6 @@ def _add_body_options(sub):
     sub.add_argument("--a", help="segment left endpoint")
     sub.add_argument("--b", help="segment right endpoint")
     sub.add_argument("--lattice", help="lattice basis as JSON: {\"basis\": [[...], ...]}")
-    sub.add_argument("--basis", help="alternative basis fixing the coordinate subspaces")
     sub.add_argument("--tol", help="certification tolerance (default 1/10000)")
     sub.add_argument("--center", action="store_true",
                      help="translate by minus the vertex centroid first")

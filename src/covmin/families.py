@@ -18,7 +18,6 @@ from .errors import (
     UnsortedWeights,
     ZeroLength,
 )
-from .lattice import Interval
 from .polytope import Polytope
 
 # provenance labels for table entries
@@ -73,7 +72,8 @@ def weights(entries) -> WeightVector:
 
 @dataclass(frozen=True)
 class TableEntry:
-    """One covering minimum: an exact value or a certified interval, with provenance."""
+    """Rational enclosure ``lo <= value <= hi`` of one covering minimum, with
+    provenance; exact when ``lo == hi``."""
 
     lo: Fraction
     hi: Fraction
@@ -89,10 +89,6 @@ class TableEntry:
         v = Fraction(value)
         return TableEntry(v, v, provenance, conjectured)
 
-    @staticmethod
-    def certified(interval: Interval, provenance: str) -> "TableEntry":
-        return TableEntry(interval.lo, interval.hi, provenance, False)
-
     @property
     def is_exact(self) -> bool:
         return self.lo == self.hi
@@ -104,13 +100,16 @@ class TableEntry:
         return self.lo
 
     @property
-    def interval(self) -> Interval:
-        return Interval(self.lo, self.hi)
+    def width(self) -> Fraction:
+        return self.hi - self.lo
+
+    def __contains__(self, x) -> bool:
+        return self.lo <= x <= self.hi
 
     def __str__(self) -> str:
-        core = str(self.lo) if self.is_exact else f"[{self.lo}, {self.hi}]"
-        tag = " (conjectured)" if self.conjectured else ""
-        return f"{core}{tag}"
+        """``p/q`` when exact, ``[lo, hi]`` otherwise; the conjectured flag is
+        shown by whoever shows the provenance."""
+        return str(self.lo) if self.is_exact else f"[{self.lo}, {self.hi}]"
 
 
 @dataclass(frozen=True)

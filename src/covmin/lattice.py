@@ -13,31 +13,6 @@ DEFAULT_SCALE_BITS = 4096
 
 
 @dataclass(frozen=True)
-class Interval:
-    """Certified enclosure ``lo <= value <= hi`` with exact rational endpoints."""
-
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise InputError(f"interval with lo={self.lo} > hi={self.hi}")
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def __contains__(self, x) -> bool:
-        return self.lo <= x <= self.hi
-
-    def __add__(self, other: "Interval") -> "Interval":
-        return Interval(self.lo + other.lo, self.hi + other.hi)
-
-    def __str__(self) -> str:
-        return f"[{self.lo}, {self.hi}]"
-
-
-@dataclass(frozen=True)
 class Lattice:
     """Full-rank lattice given by basis vectors (one per row of ``basis``).
 

@@ -40,7 +40,7 @@ from .errors import (
     SliceDegenerate,
 )
 from .families import ORACLE, MinimaTable, TableEntry, combine_direct_sum, recognize
-from .lattice import Interval, Lattice, group_basis
+from .lattice import Lattice, group_basis
 from .linalg import RatVec, clear_denominators, mat_inverse, rank, vec
 from .polytope import (
     Polytope,
@@ -69,7 +69,7 @@ class CoveringCertificate:
     body so the origin became interior (the covering radius is unaffected).
     """
 
-    interval: Interval
+    interval: TableEntry
     deep_point: RatVec
     cells_explored: int
     tolerance: Fraction
@@ -356,7 +356,7 @@ def covering_radius(
     if hi - lo > tol:
         raise Inconsistent("certificate wider than tolerance; internal bug")
     return CoveringCertificate(
-        Interval(lo, hi), lattice.from_coefficients(deep_t), cells, tol, vec(shift)
+        TableEntry(lo, hi, ORACLE), lattice.from_coefficients(deep_t), cells, tol, vec(shift)
     )
 
 
@@ -501,8 +501,7 @@ def covering_radius_value(
     table = recognize(P)
     if table is not None:
         return table[P.ambient_dim]
-    cert = covering_radius(P, tol=tol, cell_cap=cell_cap)
-    return TableEntry.certified(cert.interval, ORACLE)
+    return covering_radius(P, tol=tol, cell_cap=cell_cap).interval
 
 
 # -- locally anti-blocking bodies ----------------------------------------------------
@@ -543,8 +542,7 @@ def upper_bound_reports(Kt: Polytope, i: int, tol: Fraction = DEFAULT_TOL):
     reports = []
     try:
         reports.append(intersection_bound(
-            Kt, Lattice.standard(d), i,
-            lambda piece: covering_radius_value(piece, tol).interval,
+            Kt, Lattice.standard(d), i, lambda piece: covering_radius_value(piece, tol),
         ))
     except (SliceDegenerate, OriginNotInterior, BudgetExceeded):
         pass
@@ -568,14 +566,13 @@ def upper_bound_reports(Kt: Polytope, i: int, tol: Fraction = DEFAULT_TOL):
             if i > 1:
                 reports.append(kl_bound(1, base, lambdas, i))
             else:
-                reports.append(BoundReport("K", "Z^d", i, base.value, KL_LEMMA, "width"))
+                reports.append(BoundReport("K", "Z^d", i, base, KL_LEMMA, "width"))
         except BudgetExceeded:
             pass
 
     try:
         entry = covering_radius_value(Kt, tol)
-        value = entry.value if entry.is_exact else entry.interval
-        reports.append(BoundReport("K", "Z^d", i, value, MONOTONE, "covering radius"))
+        reports.append(BoundReport("K", "Z^d", i, entry, MONOTONE, "covering radius"))
     except BudgetExceeded:
         pass
     return reports
@@ -666,8 +663,7 @@ class DirectSumCheck:
     """Comparison of a direct sum's minima against its summands' combination."""
 
     index: int
-    combined_lo: Fraction
-    combined_hi: Fraction
+    combined: TableEntry
     projection_matches: bool
     sandwich_contains: bool
     additivity_gap: Fraction | None
@@ -711,14 +707,10 @@ def verify_direct_sum(
     B = _sandwich_table(L, tol)
     combined = combine_direct_sum(A, B, i)[0]
     report = projection_bound(A, B, i)
-    value = report.value
-    if isinstance(value, Interval):
-        projection_matches = (value.lo, value.hi) == (combined.lo, combined.hi)
-    else:
-        projection_matches = combined.is_exact and value == combined.value
+    projection_matches = (report.entry.lo, report.entry.hi) == (combined.lo, combined.hi)
 
     if i == 0:
-        return DirectSumCheck(i, combined.lo, combined.hi, projection_matches, True, None)
+        return DirectSumCheck(i, combined, projection_matches, True, None)
 
     s = minima_sandwich(S, None, i, tol)
     sandwich_contains = (
@@ -734,6 +726,4 @@ def verify_direct_sum(
         mid_s = (cr_s.lo + cr_s.hi) / 2
         gap = abs(mid_sum - mid_s)
         additivity_gap = Fraction(0) if gap <= 2 * tol else gap
-    return DirectSumCheck(
-        i, combined.lo, combined.hi, projection_matches, sandwich_contains, additivity_gap
-    )
+    return DirectSumCheck(i, combined, projection_matches, sandwich_contains, additivity_gap)

@@ -58,8 +58,6 @@ class CheckResult:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, Fraction):
-        return str(value)
     if isinstance(value, (tuple, list)):
         return "(" + ", ".join(_fmt(x) for x in value) + ")"
     return str(value)
@@ -93,7 +91,7 @@ def suite_direct_sum(tol: Fraction = DEFAULT_TOL) -> list[CheckResult]:
     check = verify_direct_sum(segment(-1, 1), crosspolytope(2), 3, tol)
     checks.append(_check(
         "block projection reproduces the combination", check.projection_matches and check.ok,
-        "exact match", f"combined [{check.combined_lo}, {check.combined_hi}]",
+        "exact match", f"combined {check.combined}",
     ))
     rng = random.Random(1009)
     for k in range(5):

@@ -148,7 +148,7 @@ def test_criterion_8_direct_sum_equality():
     cross2 = crosspolytope_table(2)
     for i in range(4):
         rep = projection_bound(seg_table, cross2, i)
-        ok = ok and rep.value == table[i].value
+        ok = ok and rep.entry.value == table[i].value
     rng = random.Random(1009)
     for _ in range(5):
         a = segment(F(-rng.randint(1, 3), rng.randint(1, 3)),

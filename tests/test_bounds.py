@@ -34,7 +34,7 @@ from covmin.families import (
     weighted_simplex,
     weights,
 )
-from covmin.lattice import Interval, Lattice
+from covmin.lattice import Lattice
 from covmin.polytope import Polytope
 
 F = Fraction
@@ -44,12 +44,10 @@ def formula_cr(P):
     """Covering radius of a slice by exact family formulas (test-local oracle)."""
     sides = match_box(P)
     if sides is not None:
-        top = max(F(1) / (b - a) for a, b in sides)
-        return Interval(top, top)
+        return TableEntry.exact(max(F(1) / (b - a) for a, b in sides), "box formula")
     w = match_weighted_simplex(P)
     if w is not None:
-        v = weighted_covering_radius(w)
-        return Interval(v, v)
+        return TableEntry.exact(weighted_covering_radius(w), "cr formula")
     raise AssertionError(f"unrecognized slice {P}")
 
 
@@ -72,14 +70,14 @@ class TestProjectionBound:
         for i in range(4):
             report = projection_bound(seg, cross2, i)
             assert report.method == PROJECTION_THM
-            assert report.value == cross3[i].value
-            assert report.certified
+            assert report.entry.value == cross3[i].value
+            assert not report.entry.conjectured
 
     def test_cube_loose_bound(self):
         square = box_minima_table([(-1, 1), (-1, 1)])
         seg = box_minima_table([(-1, 1)])
         report = projection_bound(square, seg, 2)
-        assert report.value == 1  # valid but loose; the true value is 1/2
+        assert report.entry.value == 1  # valid but loose; the true value is 1/2
         assert report.witness == 1
 
     def test_terminal_recursion_step(self):
@@ -87,28 +85,28 @@ class TestProjectionBound:
         t2 = weighted_minima_table(weights([1, 1, 1]))
         seg = weighted_minima_table(weights([F(1, 3), 1]))
         report = projection_bound(t2, seg, 2)
-        assert report.value == max(F(1), F(1, 2) + F(3, 4))
-        assert report.certified
+        assert report.entry.value == max(F(1), F(1, 2) + F(3, 4))
+        assert not report.entry.conjectured
 
 
 class TestIntersectionBound:
     def test_cube_slices(self):
         report = intersection_bound(cube(3), Lattice.standard(3), 2, formula_cr)
-        assert report.value == F(1, 2)
+        assert report.entry.value == F(1, 2)
         assert report.witness == (0, 1)
         assert report.method == INTERSECTION_THM
 
     @pytest.mark.parametrize("d,i", [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3)])
     def test_terminal_matches_closed_form(self, d, i):
         report = intersection_bound(terminal_simplex(d), Lattice.standard(d), i, formula_cr)
-        assert report.value == terminal_intersection_bound(d, i)
+        assert report.entry.value == terminal_intersection_bound(d, i)
 
     def test_weighted_maximizer_witness(self):
         report = intersection_bound(
             weighted_simplex(weights([1, 2, 3])), Lattice.standard(2), 1, formula_cr
         )
         assert report.witness == (0,)
-        assert report.value == F(4, 11)
+        assert report.entry.value == F(4, 11)
 
     def test_degenerate_slice_rejected(self):
         flat = Polytope([(0, 0), (1, 1), (1, -1)])
@@ -121,7 +119,7 @@ class TestIntersectionBound:
         # doubling the lattice along x doubles the body in basis coordinates
         lat = Lattice([[2, 0], [0, 1]])
         report = intersection_bound(cube(2, 2), lat, 1, formula_cr)
-        assert report.value == F(1, 2)  # slices are [-1,1] and [-2,2] in coefficients
+        assert report.entry.value == F(1, 2)  # slices are [-1,1] and [-2,2] in coefficients
 
 
 class TestKLChain:
@@ -129,14 +127,14 @@ class TestKLChain:
     def test_terminal_chain(self, d, i):
         lam = [F(d, d + 1)] * d
         report = kl_bound(1, TableEntry.exact(F(1, 2), "width"), lam, i)
-        assert report.value == F(1, 2) + (i - 1) * F(d, d + 1)
-        assert report.value == terminal_kl_bound(d, i)
+        assert report.entry.value == F(1, 2) + (i - 1) * F(d, d + 1)
+        assert report.entry.value == terminal_kl_bound(d, i)
         assert report.method == KL_LEMMA
 
     def test_cube_chain_loose(self):
         lam = [F(1, 2)] * 3
         report = kl_bound(1, TableEntry.exact(F(1, 2), "width"), lam, 3)
-        assert report.value == F(3, 2)  # loose; every minimum of the cube is 1/2
+        assert report.entry.value == F(3, 2)  # loose; every minimum of the cube is 1/2
 
     def test_bad_indices(self):
         with pytest.raises(IndexOutOfRange):
@@ -218,8 +216,8 @@ class TestProjectionRecursion:
         P = terminal_simplex(d)
         for i in range(2, d):
             report = projection_recursion(P, i, exact_terminal_leaf)
-            assert report.value == terminal_projection_bound(d, i)
-            assert report.certified
+            assert report.entry.value == terminal_projection_bound(d, i)
+            assert not report.entry.conjectured
 
     def test_requires_origin(self):
         P = terminal_simplex(2).translate((10, 10))

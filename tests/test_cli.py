@@ -2,6 +2,7 @@
 
 import io
 import json
+import re
 
 import pytest
 
@@ -9,15 +10,21 @@ from covmin.cli import (
     EXIT_BUDGET,
     EXIT_INPUT,
     EXIT_OK,
-    ProblemSpec,
     main,
 )
+from covmin.oracle import covering_radius
+from covmin.polytope import Polytope
 
 
 def run_cli(*argv):
     out = io.StringIO()
     code = main(list(argv), out=out)
     return code, out.getvalue()
+
+
+def table_rows(text):
+    """Cells of a printed table, split on the two-space column gaps."""
+    return [re.split(r"\s{2,}", line) for line in text.splitlines()]
 
 
 class TestBasicCommands:
@@ -85,6 +92,24 @@ class TestBasicCommands:
         assert code == EXIT_OK
         assert "(-1/2, -1/2)" in text
         assert "5/4" in text
+
+    def test_bounds_render_enclosures(self):
+        vertices = [["-1", "-1"], ["2", "0"], ["0", "1"], ["-1", "1"]]
+        code, text = run_cli("bounds", "--body", json.dumps({"vertices": vertices}))
+        assert code == EXIT_OK
+        cr = covering_radius(Polytope(vertices)).interval
+        assert cr.lo < cr.hi
+        rows = table_rows(text)[1:]
+        monotone = [row[2] for row in rows if row[1] == "MONOTONE"]
+        assert monotone == [f"[{cr.lo}, {cr.hi}]"] * 2
+        assert ["1", "KL_LEMMA", "1/2", "width"] in rows
+
+    def test_family_renders_conjectured_entry(self):
+        code, text = run_cli("family", "--family", "weighted", "--omega", "1/2,1,1,1")
+        assert code == EXIT_OK
+        row = table_rows(text)[-2]
+        assert row[:2] == ["2", "5/4"]
+        assert row[2].endswith(" (conjectured)")
 
     def test_family_box_from_vertices(self):
         body = {"vertices": [[a, b] for a in ("-1", "1") for b in ("-1/2", "3/2")]}
@@ -176,6 +201,16 @@ class TestErrors:
         code, _ = run_cli(*argv)
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("argv", [
+        ("table", "--d", "2..2", "--i", "5"),
+        ("table", "--d", "0..1", "--i", "1..1"),
+    ])
+    def test_table_without_valid_pairs_exits_2(self, argv, capsys):
+        code, text = run_cli(*argv)
+        assert code == EXIT_INPUT
+        assert text == ""
+        assert "no index pair" in capsys.readouterr().err
+
     def test_internal_error_is_not_an_input_error(self, monkeypatch):
         from covmin import cli as cli_mod
 
@@ -185,23 +220,3 @@ class TestErrors:
         monkeypatch.setattr(cli_mod, "_cmd_width", boom)
         with pytest.raises(KeyError):
             cli_mod.main(["width", "--family", "cube", "--d", "2"])
-
-
-class TestProblemSpec:
-    def test_roundtrip(self):
-        spec = ProblemSpec(
-            body={"family": "weighted", "params": {"omega": ["1/2", "1", "1"]}},
-            lattice=[["1", "0"], ["0", "1"]],
-            index=(1, 3),
-            tolerance="1/10000",
-            flags={"center": False},
-        )
-        again = ProblemSpec.from_json(spec.to_json())
-        assert again == spec
-        assert ProblemSpec.from_json(again.to_json()) == again
-
-    def test_rejects_floats(self):
-        from covmin.errors import InputError
-
-        with pytest.raises(InputError):
-            ProblemSpec.from_json(json.dumps({"body": {"vertices": [[0.25]]}}))

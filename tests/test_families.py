@@ -341,3 +341,23 @@ class TestTableValidation:
         for t in tables:
             values = [e.lo for e in t]
             assert values == sorted(values)
+
+
+class TestTableEntry:
+    def test_validates(self):
+        with pytest.raises(InputError):
+            TableEntry(F(1), F(0))
+
+    def test_contains_and_width(self):
+        e = TableEntry(F(1, 2), F(3, 2))
+        assert F(1) in e and F(1, 2) in e and F(3, 2) in e
+        assert F(2) not in e and F(1, 4) not in e
+        assert e.width == 1
+        exact = TableEntry.exact(F(3, 4), "exact")
+        assert F(3, 4) in exact and F(1) not in exact
+        assert exact.width == 0
+
+    def test_rendering(self):
+        assert str(TableEntry(F(1, 2), F(3, 2))) == "[1/2, 3/2]"
+        assert str(TableEntry.exact(F(5, 4), "guess", conjectured=True)) == "5/4"
+        assert str(TableEntry.exact(2, "exact")) == "2"

@@ -1,27 +1,15 @@
-"""Lattice primitives: intervals, duals, generated groups."""
+"""Lattice primitives: duals, generated groups."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from covmin.errors import BudgetExceeded, InputError
-from covmin.lattice import Interval, Lattice, group_basis
+from covmin.errors import BudgetExceeded
+from covmin.lattice import Lattice, group_basis
 from covmin.linalg import rank, vec
 
 F = Fraction
-
-
-class TestInterval:
-    def test_validates(self):
-        with pytest.raises(InputError):
-            Interval(F(1), F(0))
-
-    def test_add_and_contains(self):
-        s = Interval(F(0), F(1)) + Interval(F(1, 2), F(1, 2))
-        assert s == Interval(F(1, 2), F(3, 2))
-        assert F(1) in s
-        assert F(2) not in s
 
 
 class TestLattice:

@@ -208,8 +208,8 @@ class TestIntersectionBoundFromOracleSlices:
             lambda piece: covering_radius(piece, tol=TOL).interval,
         )
         expect = terminal_intersection_bound(d, i)
-        assert report.value.lo <= expect <= report.value.hi
-        assert report.value.hi - report.value.lo <= TOL
+        assert expect in report.entry
+        assert report.entry.width <= TOL
 
 
 class TestSandwich:
@@ -292,15 +292,15 @@ class TestVerifyDirectSum:
     def test_two_segments(self):
         check = verify_direct_sum(segment(-1, 1), segment(-1, 1), 2, TOL)
         assert check.ok
-        assert check.combined_lo == check.combined_hi == 1
+        assert (check.combined.lo, check.combined.hi) == (1, 1)
         assert check.additivity_gap == 0
 
     def test_mixed_segments(self):
         check = verify_direct_sum(segment(F(-1, 2), 1), segment(-1, F(1, 3)), 2, TOL)
         assert check.ok
-        assert check.combined_lo == F(2, 3) + F(3, 4) == F(17, 12)
+        assert check.combined.lo == F(2, 3) + F(3, 4) == F(17, 12)
 
     def test_terminal_plus_segment(self):
         check = verify_direct_sum(terminal_simplex(2), segment(-1, 1), 3, TOL)
         assert check.ok
-        assert check.combined_lo == F(3, 2)
+        assert check.combined.lo == F(3, 2)
