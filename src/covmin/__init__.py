@@ -25,7 +25,6 @@ from .errors import (
     Inconsistent,
     IndexOutOfRange,
     InputError,
-    MissingIndex,
     MissingLambda,
     NonPositiveWeight,
     NotFullDimensional,
@@ -36,7 +35,6 @@ from .errors import (
     Singular,
     SliceDegenerate,
     UnsortedWeights,
-    ZeroLength,
 )
 from .families import (
     MinimaTable,
@@ -54,8 +52,6 @@ from .families import (
     match_weighted_simplex,
     recognize,
     segment,
-    segment_sum_minima,
-    segment_sum_table,
     terminal_polytope,
     terminal_simplex,
     weighted_conjectured_minimum,

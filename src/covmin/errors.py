@@ -41,10 +41,6 @@ class IndexOutOfRange(CovminError):
     """Covering-minimum index outside the valid range."""
 
 
-class MissingIndex(CovminError):
-    """A minima table lacks an entry needed by a bound combination."""
-
-
 class MissingLambda(CovminError):
     """Successive-minima list too short for the requested chain."""
 
@@ -55,10 +51,6 @@ class NotSymmetric(CovminError):
 
 class NotLAB(CovminError):
     """Body is not locally anti-blocking."""
-
-
-class ZeroLength(CovminError):
-    """Degenerate segment with zero length."""
 
 
 class SliceDegenerate(CovminError):

@@ -10,21 +10,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
-from .errors import (
-    IndexOutOfRange,
-    InputError,
-    NonPositiveWeight,
-    UnsortedWeights,
-    ZeroLength,
-)
+from .errors import IndexOutOfRange, InputError, NonPositiveWeight, UnsortedWeights
+from .linalg import RatVec
 from .polytope import Polytope
 
 # provenance labels for table entries
 EXACT_CONVENTION = "index-zero convention"
 WIDTH_FORMULA = "reciprocal lattice width"
 CR_FORMULA = "weighted covering radius formula"
-SEGMENT_SUM = "segment direct sum formula"
 BOX_FORMULA = "box reciprocal side formula"
 CONJECTURED = "conjectured projection value"
 DIRECT_SUM = "direct sum combination"
@@ -146,8 +141,7 @@ class MinimaTable:
         return iter(self.entries)
 
 
-def _zero_entry() -> TableEntry:
-    return TableEntry.exact(0, EXACT_CONVENTION)
+ZERO_ENTRY = TableEntry.exact(0, EXACT_CONVENTION)
 
 
 # -- weighted simplices ------------------------------------------------------
@@ -215,7 +209,7 @@ def weighted_slice(w: WeightVector, indices) -> WeightVector:
 def weighted_minima_table(w: WeightVector) -> MinimaTable:
     """Full table for a weighted simplex: exact at 0, 1, d; conjectured between."""
     ws = w if w.is_sorted else w.sorted()
-    entries = [_zero_entry()]
+    entries = [ZERO_ENTRY]
     for i in range(1, ws.d + 1):
         value = weighted_conjectured_minimum(ws, i)
         if i == 1:
@@ -235,31 +229,24 @@ def combine_direct_sum(A: MinimaTable, B: MinimaTable, i: int) -> tuple[TableEnt
 
     Returns the entry together with the witness ``j`` (allocation to the first
     summand) attaining the upper endpoint, smallest such ``j`` on ties.  When
-    an interval entry is involved the maximum propagates endpoint-wise.  The
-    result is flagged conjectured whenever dropping conjectured inputs would
-    change it.
+    an interval entry is involved the maximum propagates endpoint-wise.  A
+    conjectured entry is only a proven lower bound, so the true value behind
+    it may exceed it; the result is flagged conjectured whenever any
+    admissible allocation uses one.
     """
     la, lb = A.d, B.d
     if not 0 <= i <= la + lb:
         raise IndexOutOfRange(f"index {i} outside 0..{la + lb}")
-    lo_js = range(max(0, i - lb), min(la, i) + 1)
-    best_lo = best_hi = None
-    best_cert_lo = best_cert_hi = None
-    witness = None
-    for j in lo_js:
-        ea, eb = A[j], B[i - j]
+    best_lo = best_hi = witness = None
+    conjectured = False
+    for j in range(max(0, i - lb), min(la, i) + 1):
+        ea, eb = A.entries[j], B.entries[i - j]
         lo, hi = ea.lo + eb.lo, ea.hi + eb.hi
         if best_lo is None or lo > best_lo:
             best_lo = lo
         if best_hi is None or hi > best_hi:
-            best_hi = hi
-            witness = j
-        if not (ea.conjectured or eb.conjectured):
-            if best_cert_lo is None or lo > best_cert_lo:
-                best_cert_lo = lo
-            if best_cert_hi is None or hi > best_cert_hi:
-                best_cert_hi = hi
-    conjectured = (best_cert_lo, best_cert_hi) != (best_lo, best_hi)
+            best_hi, witness = hi, j
+        conjectured = conjectured or ea.conjectured or eb.conjectured
     return TableEntry(best_lo, best_hi, DIRECT_SUM, conjectured), witness
 
 
@@ -269,38 +256,9 @@ def direct_sum_minima(A: MinimaTable, B: MinimaTable, i: int) -> TableEntry:
 
 
 def direct_sum_table(A: MinimaTable, B: MinimaTable) -> MinimaTable:
-    return MinimaTable(tuple(
-        direct_sum_minima(A, B, i) for i in range(A.d + B.d + 1)
+    return MinimaTable((ZERO_ENTRY,) + tuple(
+        combine_direct_sum(A, B, i)[0] for i in range(1, A.d + B.d + 1)
     ))
-
-
-def segment_sum_minima(segments, i: int) -> Fraction:
-    """i-th covering minimum of a direct sum of origin-containing segments.
-
-    Equals the sum of the ``i`` largest reciprocal lengths; the max-plus
-    combination over the summands forces picking the largest reciprocals.
-    """
-    recips = []
-    for a, b in segments:
-        a, b = Fraction(a), Fraction(b)
-        if a == b:
-            raise ZeroLength(f"segment [{a}, {b}] has zero length")
-        if a > b:
-            raise InputError(f"segment [{a}, {b}] reversed")
-        if not a <= 0 <= b:
-            raise InputError(f"segment [{a}, {b}] misses the origin")
-        recips.append(Fraction(1) / (b - a))
-    if not 0 <= i <= len(recips):
-        raise IndexOutOfRange(f"index {i} outside 0..{len(recips)}")
-    return sum(sorted(recips, reverse=True)[:i], Fraction(0))
-
-
-def segment_sum_table(segments) -> MinimaTable:
-    segs = list(segments)
-    entries = [_zero_entry()]
-    for i in range(1, len(segs) + 1):
-        entries.append(TableEntry.exact(segment_sum_minima(segs, i), SEGMENT_SUM))
-    return MinimaTable(tuple(entries))
 
 
 # -- plain constructors -------------------------------------------------------
@@ -378,14 +336,15 @@ def box_minima_table(intervals) -> MinimaTable:
     ivs = [(Fraction(a), Fraction(b)) for a, b in intervals]
     if any(a >= b for a, b in ivs):
         raise InputError("box intervals must have positive length")
-    top = max(Fraction(1) / (b - a) for a, b in ivs)
-    entries = [_zero_entry()]
-    entries += [TableEntry.exact(top, BOX_FORMULA) for _ in ivs]
-    return MinimaTable(tuple(entries))
+    top = TableEntry.exact(max(1 / (b - a) for a, b in ivs), BOX_FORMULA)
+    return MinimaTable((ZERO_ENTRY,) + (top,) * len(ivs))
 
 
 def crosspolytope_table(d: int) -> MinimaTable:
-    return segment_sum_table([(-1, 1)] * d)
+    """The crosspolytope is the direct sum of ``d`` copies of ``[-1, 1]``."""
+    if d < 1:
+        raise InputError("crosspolytope needs dimension >= 1")
+    return reduce(direct_sum_table, [box_minima_table([(-1, 1)])] * d)
 
 
 # -- recognition --------------------------------------------------------------
@@ -426,6 +385,9 @@ def match_box(P: Polytope) -> list[tuple[Fraction, Fraction]] | None:
     only if it is one of ``P``'s defining points.  So ``P`` is the box
     exactly when every corner is among its points; no hull is built.
     """
+    # fewer points cannot hold 2^d distinct corners; a degenerate side fails below
+    if len(P.points) < 2 ** P.ambient_dim:
+        return None
     lo, hi = P.bbox()
     if not lo or any(a >= b for a, b in zip(lo, hi)):
         return None
@@ -435,50 +397,69 @@ def match_box(P: Polytope) -> list[tuple[Fraction, Fraction]] | None:
     return None
 
 
-def match_segment_sum(P: Polytope) -> list[tuple[Fraction, Fraction]] | None:
-    """Recover the segments when ``P`` is a direct sum of axis segments.
+def match_segment_sum(P: Polytope) -> list[list[RatVec]] | None:
+    """Split ``P`` into coordinate blocks; None when it does not split.
 
-    Matches generalized crosspolytopes ``conv{a_j e_j, b_j e_j}`` with
-    ``a_j < 0 < b_j``; returns the per-axis segments ``[a_j, b_j]``.
+    Coordinates join one block when some vertex is nonzero in both, and each
+    block's summand is the hull of the vertices supported in it, so ``P`` is
+    their hull.  It is their direct sum when every summand holds the origin,
+    as ``direct_sum`` requires, and this holds when the origin is interior to
+    ``P`` (project a positive convex combination of all vertices onto a
+    block) or a vertex of ``P`` (a zero vertex belongs to every block).  Both
+    are read off ``P``'s own facets and vertices, so no block needs a hull;
+    other splits return None.  Returns the blocks ordered by least
+    coordinate, each as its vertices in block coordinates plus the origin,
+    which the summand holds.
+
+    A sum of segments is the case of 1-dimensional blocks; the name is the
+    one ``perfbench/tracer.py`` traces among the recognizers.
     """
     d = P.ambient_dim
-    if d < 1 or not P.is_full_dimensional():
+    if d < 2 or not P.is_full_dimensional():
         return None
     verts = P.vertices
-    if len(verts) != 2 * d:
-        return None
-    lo = [None] * d
-    hi = [None] * d
+    blocks: list[set[int]] = []
     for v in verts:
-        nonzero = [(j, x) for j, x in enumerate(v) if x != 0]
-        if len(nonzero) != 1:
+        support = {j for j, x in enumerate(v) if x}
+        for block in [b for b in blocks if b & support]:
+            blocks.remove(block)
+            support |= block
+        if len(support) == d:
             return None
-        j, x = nonzero[0]
-        if x > 0:
-            if hi[j] is not None:
-                return None
-            hi[j] = x
-        else:
-            if lo[j] is not None:
-                return None
-            lo[j] = x
-    if any(a is None for a in lo) or any(b is None for b in hi):
+        if support:
+            blocks.append(support)
+    # P is full-dimensional and no block holds every coordinate: two or more blocks
+    if not (any(not any(v) for v in verts) or P.has_interior_origin()):
         return None
-    return list(zip(lo, hi))
+    zero = Fraction(0)
+    return [
+        [tuple(v[j] for j in c) for v in verts if any(v[j] for j in c)] + [(zero,) * len(c)]
+        for c in sorted(sorted(block) for block in blocks)
+    ]
+
+
+def _block_table(points: list[RatVec]) -> MinimaTable | None:
+    if len(points[0]) == 1:
+        return box_minima_table([(min(points)[0], max(points)[0])])
+    return recognize(Polytope(points))
 
 
 def recognize(P: Polytope) -> MinimaTable | None:
     """Closed-form minima table of ``P`` w.r.t. the standard lattice, or None.
 
-    Tries a box, then a direct sum of segments, then a weighted simplex; the
-    first match picks the table.
+    Tries a box, then a split into coordinate blocks, each recognized in turn
+    and combined max-plus, then a weighted simplex; the first match picks the
+    table.
     """
     sides = match_box(P)
     if sides is not None:
         return box_minima_table(sides)
-    segments = match_segment_sum(P)
-    if segments is not None:
-        return segment_sum_table(segments)
+    blocks = match_segment_sum(P)
+    if blocks is not None:
+        tables = [_block_table(points) for points in blocks]
+        if any(t is None for t in tables):
+            return None
+        return reduce(direct_sum_table, tables)
     w = match_weighted_simplex(P)
     if w is not None:
         return weighted_minima_table(w)

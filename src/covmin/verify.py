@@ -81,29 +81,21 @@ def suite_direct_sum(tol: Fraction = DEFAULT_TOL) -> list[CheckResult]:
         "crosspolytope combination table", values == (0, Fraction(1, 2), 1, Fraction(3, 2)),
         "(0, 1/2, 1, 3/2)", values,
     ))
-    cert = covering_radius(crosspolytope(3), tol=tol)
-    mid = (cert.interval.lo + cert.interval.hi) / 2
-    checks.append(_check(
-        "crosspolytope oracle top minimum",
-        Fraction(3, 2) in cert.interval and abs(mid - Fraction(3, 2)) <= 2 * tol,
-        "3/2 within 2 tol", cert.interval,
-    ))
-    check = verify_direct_sum(segment(-1, 1), crosspolytope(2), 3, tol)
-    checks.append(_check(
-        "block projection reproduces the combination", check.projection_matches and check.ok,
-        "exact match", f"combined {check.combined}",
-    ))
+    pairs = [("segment + crosspolytope(2)", segment(-1, 1), crosspolytope(2))]
     rng = random.Random(1009)
     for k in range(5):
         a = segment(Fraction(-rng.randint(1, 3), rng.randint(1, 3)),
                     Fraction(rng.randint(1, 3), rng.randint(1, 3)))
         b = segment(Fraction(-rng.randint(1, 3), rng.randint(1, 3)),
                     Fraction(rng.randint(1, 3), rng.randint(1, 3)))
-        result = verify_direct_sum(a, b, 2, tol)
-        checks.append(_check(
-            f"segment sum additivity seed {k}", result.ok and result.additivity_gap == 0,
-            "additive within 4 tol", f"gap {result.additivity_gap}",
-        ))
+        pairs.append((f"segment sum seed {k}", a, b))
+    for name, K, L in pairs:
+        for i in range(1, K.ambient_dim + L.ambient_dim + 1):
+            check = verify_direct_sum(K, L, i, tol)
+            checks.append(_check(
+                f"{name} at index {i}", check.ok,
+                f"inside {check.reference} within 2 tol", check.combined,
+            ))
     return checks
 
 

@@ -18,11 +18,11 @@ from covmin.bounds import (
     weighted_intersection_bound,
 )
 from covmin.families import (
+    box_minima_table,
     crosspolytope,
     crosspolytope_table,
     cube,
     segment,
-    segment_sum_table,
     terminal_simplex,
     weighted_covering_radius,
     weighted_simplex,
@@ -144,7 +144,7 @@ def test_criterion_8_direct_sum_equality():
     cert = covering_radius(crosspolytope(3), tol=TOL)
     mid = (cert.interval.lo + cert.interval.hi) / 2
     ok = ok and abs(mid - F(3, 2)) <= 2 * TOL
-    seg_table = segment_sum_table([(-1, 1)])
+    seg_table = box_minima_table([(-1, 1)])
     cross2 = crosspolytope_table(2)
     for i in range(4):
         rep = projection_bound(seg_table, cross2, i)

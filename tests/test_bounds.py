@@ -27,7 +27,6 @@ from covmin.families import (
     cube,
     match_box,
     match_weighted_simplex,
-    segment_sum_table,
     terminal_simplex,
     weighted_covering_radius,
     weighted_minima_table,
@@ -64,7 +63,7 @@ def exact_terminal_leaf(P, i):
 
 class TestProjectionBound:
     def test_sharp_for_direct_sums(self):
-        seg = segment_sum_table([(-1, 1)])
+        seg = box_minima_table([(-1, 1)])
         cross2 = crosspolytope_table(2)
         cross3 = crosspolytope_table(3)
         for i in range(4):

@@ -8,6 +8,7 @@ import pytest
 
 from covmin.cli import (
     EXIT_BUDGET,
+    EXIT_FAILED_CHECK,
     EXIT_INPUT,
     EXIT_OK,
     main,
@@ -134,6 +135,30 @@ class TestBasicCommands:
         assert code == EXIT_OK
         assert text.strip().splitlines()[-1].endswith("checks passed")
         assert "FAIL" not in text
+
+    def test_verify_direct_sum_suite(self):
+        code, text = run_cli("verify", "direct-sum")
+        assert code == EXIT_OK
+        assert "FAIL" not in text
+        # every index of every pair: 1 table check + 3 + 5 * 2 per-index checks
+        assert text.count("PASS") == 14
+
+    def test_verify_direct_sum_catches_min_plus(self, monkeypatch):
+        import covmin.families
+        import covmin.oracle
+        from covmin.families import DIRECT_SUM, TableEntry
+
+        def min_plus(A, B, i):
+            js = range(max(0, i - B.d), min(A.d, i) + 1)
+            lo = min(A[j].lo + B[i - j].lo for j in js)
+            hi = min(A[j].hi + B[i - j].hi for j in js)
+            return TableEntry(lo, hi, DIRECT_SUM), js[0]
+
+        monkeypatch.setattr(covmin.families, "combine_direct_sum", min_plus)
+        monkeypatch.setattr(covmin.oracle, "combine_direct_sum", min_plus)
+        code, text = run_cli("verify", "direct-sum")
+        assert code == EXIT_FAILED_CHECK
+        assert "FAIL segment sum seed 1 at index 1" in text
 
 
 class TestDeterminism:

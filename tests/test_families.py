@@ -7,13 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from covmin.errors import (
-    IndexOutOfRange,
-    InputError,
-    NonPositiveWeight,
-    UnsortedWeights,
-    ZeroLength,
-)
+from covmin.errors import IndexOutOfRange, InputError, NonPositiveWeight, UnsortedWeights
 from covmin.families import (
     MinimaTable,
     TableEntry,
@@ -28,8 +22,6 @@ from covmin.families import (
     match_weighted_simplex,
     recognize,
     segment,
-    segment_sum_minima,
-    segment_sum_table,
     terminal_polytope,
     terminal_simplex,
     weighted_conjectured_minimum,
@@ -39,9 +31,24 @@ from covmin.families import (
     weighted_slice,
     weights,
 )
-from covmin.polytope import Polytope, coord_slice
+from covmin.polytope import Polytope, coord_slice, direct_sum
 
 F = Fraction
+
+
+def segment_sum(segments):
+    """The body with vertices ``a_j e_j`` and ``b_j e_j``: a direct sum of segments."""
+    d = len(segments)
+    return Polytope([
+        tuple(end if k == j else 0 for k in range(d))
+        for j, seg in enumerate(segments) for end in seg
+    ])
+
+
+def largest_reciprocals(segments, i):
+    """Sum of the ``i`` largest reciprocal segment lengths."""
+    recips = sorted((1 / (F(b) - F(a)) for a, b in segments), reverse=True)
+    return sum(recips[:i], F(0))
 
 pos_weight = st.fractions(min_value=F(1, 4), max_value=4, max_denominator=4)
 
@@ -144,11 +151,12 @@ class TestDirectSumTables:
         assert [e.value for e in t] == [0, F(1, 2), 1, F(3, 2)]
 
     def test_unimodular_simplex_values(self):
-        t = segment_sum_table([(0, 1)] * 3)
+        # conv(0, e_1, e_2, e_3): the zero vertex belongs to every block
+        t = recognize(segment_sum([(0, 1)] * 3))
         assert [e.value for e in t] == [0, 1, 2, 3]
 
     def test_combination_matches_crosspolytope(self):
-        seg = segment_sum_table([(-1, 1)])
+        seg = box_minima_table([(-1, 1)])
         cross2 = crosspolytope_table(2)
         for i in range(4):
             got = direct_sum_minima(seg, cross2, i)
@@ -190,6 +198,14 @@ class TestDirectSumTables:
         # dominated conjecture does not taint the certified result
         assert not direct_sum_minima(b, b, 1).conjectured
 
+    def test_any_conjectured_allocation_flags(self):
+        # mu_2(T_3) is only known to lie in [1, 5/4], so the allocation
+        # 1/2 + mu_2(T_3) may exceed the others and the result is unproven
+        t3 = weighted_minima_table(weights([1, 1, 1, 1]))
+        got = direct_sum_minima(t3, t3, 3)
+        assert got.value == F(3, 2)
+        assert got.conjectured
+
     def test_terminal_polytope_conjectured_table(self):
         t3 = weighted_minima_table(weights([1, 1, 1, 1]))
         t1 = weighted_minima_table(weights([1, 1]))
@@ -204,27 +220,35 @@ class TestDirectSumTables:
 
 class TestSegmentSums:
     def test_crosspolytope_entry(self):
-        assert segment_sum_minima([(-1, 1)] * 3, 2) == 1
+        assert recognize(segment_sum([(-1, 1)] * 3))[2].value == 1
 
     def test_unit_lengths(self):
-        assert segment_sum_minima([(0, 1)] * 3, 3) == 3
+        assert recognize(segment_sum([(0, 1)] * 3))[3].value == 3
 
     def test_mixed_lengths_pick_largest_reciprocals(self):
         segs = [(-2, 2), (-1, 1), (F(-1, 2), F(1, 2))]
-        got = segment_sum_minima(segs, 2)
+        got = recognize(segment_sum(segs))[2]
         brute = max(
             sum(F(1, 1) / (b - a) for a, b in pick)
             for pick in itertools.combinations(segs, 2)
         )
-        assert got == brute == F(3, 2)
-
-    def test_zero_length(self):
-        with pytest.raises(ZeroLength):
-            segment_sum_minima([(0, 0)], 1)
+        assert got.value == brute == F(3, 2)
 
     def test_origin_required(self):
-        with pytest.raises(InputError):
-            segment_sum_minima([(1, 2)], 1)
+        # [1, 2] misses the origin, which lies on a facet of the hull
+        assert recognize(segment_sum([(1, 2), (-1, 1), (-1, 1)])) is None
+
+    def test_seeded_sums(self):
+        rng = random.Random(31)
+        for d in range(1, 6):
+            for _ in range(8):
+                segs = [(F(-rng.randint(1, 4), rng.randint(1, 3)),
+                         F(rng.randint(1, 4), rng.randint(1, 3))) for _ in range(d)]
+                if rng.random() < 0.25:
+                    segs = [(0, b) for _, b in segs]  # the origin is a vertex
+                t = recognize(segment_sum(segs))
+                assert [e.value for e in t] == [largest_reciprocals(segs, i) for i in range(d + 1)]
+                assert not any(e.conjectured for e in t)
 
 
 class TestConstructors:
@@ -249,6 +273,9 @@ class TestConstructors:
 
     def test_segment_and_box(self):
         assert segment(F(-1, 2), 1) == Polytope([(F(-1, 2),), (1,)])
+        for a, b in ((0, 0), (1, F(1, 2))):
+            with pytest.raises(InputError):
+                segment(a, b)
         b = box([(-1, 1), (F(-1, 2), F(1, 2))])
         assert len(b.vertices) == 4
 
@@ -317,6 +344,39 @@ class TestRecognize:
 
     def test_generic_polygon(self):
         assert recognize(Polytope([(2, 0), (0, 2), (-1, -1), (1, -1)])) is None
+
+    def test_terminal_sum_exact(self):
+        t = recognize(terminal_polytope([2, 2]))
+        assert [e.value for e in t] == [0, F(1, 2), 1, F(3, 2), 2]
+        assert not any(e.conjectured for e in t)
+
+    def test_terminal_sum_conjectured_between(self):
+        t = recognize(terminal_polytope([3, 3]))
+        assert [i for i, e in enumerate(t) if e.conjectured] == [2, 3, 4, 5]
+
+    def test_blocks_of_several_families(self):
+        sides = [(-1, 1), (F(-1, 3), 2)]
+        body = direct_sum(direct_sum(box(sides), terminal_simplex(2)), segment(-2, 1))
+        want = direct_sum_table(
+            direct_sum_table(box_minima_table(sides), weighted_minima_table(weights([1, 1, 1]))),
+            box_minima_table([(-2, 1)]),
+        )
+        assert recognize(body) == want
+
+    def test_unrecognized_block(self):
+        polygon = Polytope([(2, 0), (0, 2), (-1, -1), (1, -1)])
+        assert recognize(direct_sum(polygon, segment(-1, 1))) is None
+
+    def test_split_block_missing_origin(self):
+        # the x block is conv{1, 2}; the origin is on an edge, not a vertex
+        assert recognize(Polytope([(1, 0), (2, 0), (0, 1), (0, -1)])) is None
+
+    def test_combination_inside_generic_brackets(self):
+        # brackets of the generic sandwich, which does not split the body
+        t = recognize(terminal_polytope([1, 2]))
+        assert t[3].value in TableEntry(F(24575, 16384), F(49153, 32768))
+        t = recognize(segment_sum([(0, 1)] * 3))
+        assert t[2].value in TableEntry(F(65535, 32768), F(2))
 
 
 class TestTableValidation:

@@ -11,6 +11,7 @@ from covmin.families import (
     crosspolytope,
     cube,
     segment,
+    terminal_polytope,
     terminal_simplex,
     weighted_covering_radius,
     weighted_simplex,
@@ -227,6 +228,16 @@ class TestSandwich:
         s = minima_sandwich(crosspolytope(3), None, 2, TOL)
         assert s.is_exact and s.lower == 1
 
+    def test_terminal_sums_exact(self):
+        # direct sums of recognized blocks take the max-plus combination
+        for i, want in ((1, F(1, 2)), (2, F(1)), (3, F(3, 2))):
+            s = minima_sandwich(terminal_polytope([1, 2]), None, i, TOL)
+            assert s.is_exact and s.lower == want
+        T22 = terminal_polytope([2, 2])
+        for i in range(1, 5):
+            s = minima_sandwich(T22, None, i, TOL)
+            assert s.is_exact and s.lower == F(i, 2)
+
     def test_weighted_endpoints_exact(self):
         body = weighted_simplex(weights([1, 2, 3]))
         assert minima_sandwich(body, None, 1, TOL).lower == F(1, 3)
@@ -293,7 +304,8 @@ class TestVerifyDirectSum:
         check = verify_direct_sum(segment(-1, 1), segment(-1, 1), 2, TOL)
         assert check.ok
         assert (check.combined.lo, check.combined.hi) == (1, 1)
-        assert check.additivity_gap == 0
+        # at the top index the reference is the raw oracle on the sum itself
+        assert 1 in check.reference and check.reference.width <= TOL
 
     def test_mixed_segments(self):
         check = verify_direct_sum(segment(F(-1, 2), 1), segment(-1, F(1, 3)), 2, TOL)
@@ -304,3 +316,13 @@ class TestVerifyDirectSum:
         check = verify_direct_sum(terminal_simplex(2), segment(-1, 1), 3, TOL)
         assert check.ok
         assert check.combined.lo == F(3, 2)
+
+    def test_every_index(self):
+        S = (terminal_simplex(2), segment(-1, 1))
+        for i, want in enumerate([0, F(1, 2), 1, F(3, 2)]):
+            check = verify_direct_sum(*S, i, TOL)
+            assert check.ok and check.index == i
+            assert check.combined.value == want
+        # the first index is checked against the sum's own lattice width
+        check = verify_direct_sum(*S, 1, TOL)
+        assert check.reference.value == F(1, 2)
