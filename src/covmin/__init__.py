@@ -25,7 +25,6 @@ from .errors import (
     Inconsistent,
     IndexOutOfRange,
     InputError,
-    MissingLambda,
     NonPositiveWeight,
     NotFullDimensional,
     NotLAB,
@@ -45,7 +44,6 @@ from .families import (
     crosspolytope,
     crosspolytope_table,
     cube,
-    direct_sum_minima,
     direct_sum_table,
     match_box,
     match_segment_sum,
@@ -86,7 +84,6 @@ from .polytope import (
     gauge,
     index_set,
     is_locally_anti_blocking,
-    support,
 )
 from .verify import CheckResult, run_suite
 

@@ -21,7 +21,6 @@ from .errors import (
     EmptySlice,
     IndexOutOfRange,
     InputError,
-    MissingLambda,
     OriginMissing,
     SliceDegenerate,
     UnsortedWeights,
@@ -148,8 +147,6 @@ def kl_bound(
     used = []
     for j in range(base_index, i):
         pos = d - j
-        if not 1 <= pos <= d:
-            raise MissingLambda(f"missing successive minimum lambda_{pos}")
         step = lambdas[pos - 1]
         lo += step
         hi += step

@@ -261,9 +261,10 @@ def _cmd_bounds(args, out) -> int:
     lo_i, hi_i = spec.index or (1, body.ambient_dim)
     tol = _tol(spec)
     Kt = lattice_coordinates(body, lattice)
+    pieces = oracle._PieceEvaluator(tol)
     rows = [("i", "method", "value", "witness")]
     for i in range(lo_i, hi_i + 1):
-        for report in oracle.upper_bound_reports(Kt, i, tol):
+        for report in oracle.upper_bound_reports(Kt, i, pieces):
             rows.append((str(i), report.method, str(report.entry), str(report.witness)))
     _print_table(rows, out)
     return EXIT_OK

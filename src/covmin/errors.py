@@ -41,10 +41,6 @@ class IndexOutOfRange(CovminError):
     """Covering-minimum index outside the valid range."""
 
 
-class MissingLambda(CovminError):
-    """Successive-minima list too short for the requested chain."""
-
-
 class NotSymmetric(CovminError):
     """Body is not symmetric about the origin."""
 

@@ -250,11 +250,6 @@ def combine_direct_sum(A: MinimaTable, B: MinimaTable, i: int) -> tuple[TableEnt
     return TableEntry(best_lo, best_hi, DIRECT_SUM, conjectured), witness
 
 
-def direct_sum_minima(A: MinimaTable, B: MinimaTable, i: int) -> TableEntry:
-    """Covering minimum of a direct sum from its summands' tables."""
-    return combine_direct_sum(A, B, i)[0]
-
-
 def direct_sum_table(A: MinimaTable, B: MinimaTable) -> MinimaTable:
     return MinimaTable((ZERO_ENTRY,) + tuple(
         combine_direct_sum(A, B, i)[0] for i in range(1, A.d + B.d + 1)

@@ -17,6 +17,7 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import ceil, floor
 
 from .bounds import (
@@ -38,14 +39,16 @@ from .errors import (
     OriginNotInterior,
     SliceDegenerate,
 )
-from .families import ORACLE, ZERO_ENTRY, MinimaTable, TableEntry, combine_direct_sum, recognize
+from .families import (
+    DIRECT_SUM, ORACLE, WIDTH_FORMULA, ZERO_ENTRY, MinimaTable, TableEntry,
+    combine_direct_sum, direct_sum_table, match_segment_sum, recognize,
+)
 from .lattice import Lattice, group_basis
 from .linalg import RatVec, clear_denominators, mat_inverse, rank, vec
 from .polytope import (
     Polytope,
     center_translate,
     coord_project,
-    coord_slice,
     difference_body,
     direct_sum,
     is_locally_anti_blocking,
@@ -486,21 +489,49 @@ def successive_minima(
         r *= 2
 
 
-# -- covering radius dispatcher ----------------------------------------------------
+# -- evaluating pieces: mu_1 and the covering radius ---------------------------------
 
 
-def covering_radius_value(
-    P: Polytope,
-    tol: Fraction = DEFAULT_TOL,
-    *,
-    cell_cap: int = DEFAULT_CELL_CAP,
-) -> TableEntry:
+class _PieceEvaluator:
+    """mu_1 and the covering radius of each piece one sandwich meets, each
+    evaluated once (memoized on polytope equality): the recognized table's
+    entries, else the exact reciprocal lattice width (Kannan & Lovász,
+    "Covering minima and lattice-point-free convex bodies", Ann. Math. 1988)
+    and the oracle interval.  ``closed_forms=False`` recognizes nothing."""
+
+    def __init__(self, tol: Fraction, closed_forms: bool = True):
+        self.tol = tol
+        self.closed_forms = closed_forms
+        self._tables: dict[Polytope, MinimaTable | None] = {}
+        self._entries: dict[tuple[Polytope, bool], TableEntry] = {}
+
+    def table(self, P: Polytope) -> MinimaTable | None:
+        if self.closed_forms and P not in self._tables:
+            self._tables[P] = recognize(P)
+        return self._tables.get(P)
+
+    def __call__(self, P: Polytope, idx: int) -> TableEntry:
+        """mu_1 at ``idx = 1``, else the covering radius, an upper bound for
+        every index; ``projection_recursion`` resolves its leaves with it."""
+        key = (P, idx == 1)
+        if key not in self._entries:
+            table = self.table(P)
+            if table is not None:
+                self._entries[key] = table[1 if idx == 1 else P.ambient_dim]
+            elif idx == 1:
+                self._entries[key] = TableEntry.exact(1 / lattice_width(P)[0], WIDTH_FORMULA)
+            else:
+                self._entries[key] = covering_radius(P, tol=self.tol).interval
+        return self._entries[key]
+
+    def top(self, P: Polytope) -> TableEntry:
+        return self(P, P.ambient_dim)
+
+
+def covering_radius_value(P: Polytope, tol: Fraction = DEFAULT_TOL) -> TableEntry:
     """Covering radius w.r.t. the standard lattice: exact closed form for
     recognized families, otherwise a certified oracle interval."""
-    table = recognize(P)
-    if table is not None:
-        return table[P.ambient_dim]
-    return covering_radius(P, tol=tol, cell_cap=cell_cap).interval
+    return _PieceEvaluator(tol).top(P)
 
 
 # -- locally anti-blocking bodies ----------------------------------------------------
@@ -510,74 +541,54 @@ def lab_minima(K: Polytope, i: int, tol: Fraction = DEFAULT_TOL) -> tuple[TableE
     """Exact i-th covering minimum of a proper locally anti-blocking body.
 
     Equals the largest covering radius among the size-``i`` coordinate
-    slices; returns the certified entry and the witness index set (the
-    lexicographically first one attaining the upper endpoint).
+    slices, the intersection bound; returns its entry and witness index set
+    (the lexicographically first one attaining the upper endpoint).
     """
     d = K.ambient_dim
     if not 1 <= i <= d:
         raise IndexOutOfRange(f"index {i} outside 1..{d}")
     if not is_locally_anti_blocking(K):
         raise NotLAB("body is not locally anti-blocking")
-    index_sets = list(itertools.combinations(range(d), i))
-    slices = [coord_slice(K, idx) for idx in index_sets]
-    entries = [covering_radius_value(piece, tol) for piece in slices]
-    best_lo = max(entry.lo for entry in entries)
-    best_hi = max(entry.hi for entry in entries)
-    witness = next(idx for idx, entry in zip(index_sets, entries) if entry.hi == best_hi)
-    exact = all(entry.is_exact for entry in entries)
-    provenance = entries[0].provenance if exact else ORACLE
-    return TableEntry(best_lo, best_hi, provenance), witness
+    report = intersection_bound(K, Lattice.standard(d), i, _PieceEvaluator(tol).top)
+    return report.entry, report.witness
 
 
 # -- the sandwich ---------------------------------------------------------------------
 
 
-def upper_bound_reports(Kt: Polytope, i: int, tol: Fraction = DEFAULT_TOL):
+def upper_bound_reports(Kt: Polytope, i: int, pieces: _PieceEvaluator):
     """Every applicable upper-bound report for a body in standard-lattice
     coordinates: intersection bound, recursive projection bound, the
     successive-minima chain from the exact first minimum, and monotonicity
-    from the covering radius."""
+    from the covering radius, every piece evaluated by ``pieces``."""
     d = Kt.ambient_dim
     reports = []
     try:
-        reports.append(intersection_bound(
-            Kt, Lattice.standard(d), i, lambda piece: covering_radius_value(piece, tol),
-        ))
+        reports.append(intersection_bound(Kt, Lattice.standard(d), i, pieces.top))
     except (SliceDegenerate, OriginNotInterior, BudgetExceeded):
         pass
-
-    def leaf(P: Polytope, idx: int) -> TableEntry:
-        if idx == 1:
-            width, _ = lattice_width(P)
-            return TableEntry.exact(Fraction(1) / width, "reciprocal width")
-        return covering_radius_value(P, tol)
-
     try:
-        reports.append(projection_recursion(Kt, i, leaf))
+        reports.append(projection_recursion(Kt, i, pieces))
     except (OriginMissing, BudgetExceeded):
         pass
-
     if d <= 4:
         try:
             lambdas, _ = successive_minima(difference_body(Kt))
-            width, _ = lattice_width(Kt)
-            base = TableEntry.exact(Fraction(1) / width, "reciprocal width")
+            base = pieces(Kt, 1)
             if i > 1:
                 reports.append(kl_bound(1, base, lambdas, i))
             else:
                 reports.append(BoundReport("K", "Z^d", i, base, KL_LEMMA, "width"))
         except BudgetExceeded:
             pass
-
     try:
-        entry = covering_radius_value(Kt, tol)
-        reports.append(BoundReport("K", "Z^d", i, entry, MONOTONE, "covering radius"))
+        reports.append(BoundReport("K", "Z^d", i, pieces.top(Kt), MONOTONE, "covering radius"))
     except BudgetExceeded:
         pass
     return reports
 
 
-def _rational_projection_lower(K: Polytope, lattice: Lattice, matrix, tol) -> Fraction:
+def _rational_projection_lower(K: Polytope, lattice: Lattice, matrix, pieces: _PieceEvaluator) -> Fraction:
     """Lower bound from an arbitrary rational projection given by matrix rows."""
     rows = [vec(r) for r in matrix]
     i = len(rows)
@@ -590,7 +601,36 @@ def _rational_projection_lower(K: Polytope, lattice: Lattice, matrix, tol) -> Fr
         raise InputError("projection image lattice is not full rank")
     proj_lattice = Lattice(tuple(basis))
     body_t = Polytope([proj_lattice.coefficients(x) for x in images])
-    return covering_radius_value(body_t, tol).lo
+    return pieces.top(body_t).lo
+
+
+def _bracket(Kt: Polytope, i: int, pieces: _PieceEvaluator, extra_lower=()) -> SandwichResult:
+    """The generic sandwich of a body in standard-lattice coordinates.
+    ``extra_lower`` yields more lower bounds and is consumed only here."""
+    if i == 1:
+        try:
+            entry = pieces(Kt, 1)
+            return SandwichResult(i, entry.lo, entry.hi, entry.provenance, entry.provenance)
+        except BudgetExceeded:
+            pass
+    index_sets = list(itertools.combinations(range(Kt.ambient_dim), i))
+    lower = Fraction(0)
+    lb_witness: object = index_sets[0]
+    for idx in index_sets:
+        value = pieces.top(coord_project(Kt, idx)).lo
+        if value > lower:
+            lower, lb_witness = value, idx
+    for value in extra_lower:
+        if value > lower:
+            lower, lb_witness = value, "user projection"
+    reports = upper_bound_reports(Kt, i, pieces)
+    if not reports:
+        raise InputError("no upper bound mechanism applies at this dimension")
+    best = min(reports, key=lambda r: (r.hi, r.method))
+    upper, ub_witness = best.hi, best.method
+    if lower > upper + 2 * pieces.tol:
+        raise Inconsistent(f"sandwich violated: lower {lower} > upper {upper} + 2 tol")
+    return SandwichResult(i, lower, upper, lb_witness, ub_witness)
 
 
 def minima_sandwich(
@@ -603,12 +643,13 @@ def minima_sandwich(
 ) -> SandwichResult:
     """Certified bracket for the i-th covering minimum of a general body.
 
-    Lower side: the best covering radius among rank-``i`` coordinate
-    projections, optionally extended by rational projection matrices.  Upper
-    side: the least of the intersection bound, the recursive projection
-    bound, the successive-minima chain from the exact first minimum, and
-    monotonicity from the covering radius.  Exact closed forms short-circuit
-    recognized families and locally anti-blocking bodies.
+    Exact closed forms short-circuit recognized families (a split body
+    combines its blocks' certified brackets where its table is conjectured)
+    and locally anti-blocking bodies.  Otherwise ``i = 1`` gives mu_1 =
+    1/width; above it the lower side is the best covering radius among
+    rank-``i`` coordinate projections, optionally extended by rational
+    projection matrices, and the upper side the least upper-bound report.
+    One evaluator serves the call, so each piece is evaluated once.
 
     Raises:
         Inconsistent: if the certified lower bound exceeds the certified
@@ -620,38 +661,29 @@ def minima_sandwich(
         raise IndexOutOfRange(f"index {i} outside 1..{d}")
     lattice = lattice or Lattice.standard(d)
     Kt = lattice_coordinates(K, lattice)
+    pieces = _PieceEvaluator(tol)
 
-    table = recognize(Kt)
-    if table is not None and not table[i].conjectured:
+    table = pieces.table(Kt)
+    if table is not None:
         entry = table[i]
-        return SandwichResult(i, entry.lo, entry.hi, entry.provenance, entry.provenance)
+        if entry.conjectured and entry.provenance == DIRECT_SUM:
+            tables = [_sandwich_table(Polytope(points), tol) for points in match_segment_sum(Kt)]
+            entry = reduce(direct_sum_table, tables)[i]
+        if not entry.conjectured:
+            return SandwichResult(i, entry.lo, entry.hi, entry.provenance, entry.provenance)
+    elif i > 1 and d <= LAB_DIM_CAP and Kt.has_interior_origin() and is_locally_anti_blocking(Kt):
+        report = intersection_bound(Kt, Lattice.standard(d), i, pieces.top)
+        return SandwichResult(i, report.entry.lo, report.hi, report.witness, "locally anti-blocking")
+    extra_lower = (_rational_projection_lower(K, lattice, m, pieces) for m in extra_projections)
+    return _bracket(Kt, i, pieces, extra_lower)
 
-    if table is None and Kt.has_interior_origin() and d <= LAB_DIM_CAP:
-        if is_locally_anti_blocking(Kt):
-            entry, witness = lab_minima(Kt, i, tol)
-            return SandwichResult(i, entry.lo, entry.hi, witness, "locally anti-blocking")
 
-    index_sets = list(itertools.combinations(range(d), i))
-    projections = [coord_project(Kt, idx) for idx in index_sets]
-    entries = [covering_radius_value(piece, tol) for piece in projections]
-    lower = Fraction(0)
-    lb_witness: object = index_sets[0]
-    for idx, entry in zip(index_sets, entries):
-        if entry.lo > lower:
-            lower, lb_witness = entry.lo, idx
-    for matrix in extra_projections:
-        value = _rational_projection_lower(K, lattice, matrix, tol)
-        if value > lower:
-            lower, lb_witness = value, "user projection"
-
-    reports = upper_bound_reports(Kt, i, tol)
-    if not reports:
-        raise InputError("no upper bound mechanism applies at this dimension")
-    best = min(reports, key=lambda r: (r.hi, r.method))
-    upper, ub_witness = best.hi, best.method
-    if lower > upper + 2 * tol:
-        raise Inconsistent(f"sandwich violated: lower {lower} > upper {upper} + 2 tol")
-    return SandwichResult(i, lower, upper, lb_witness, ub_witness)
+def _sandwich_table(P: Polytope, tol: Fraction) -> MinimaTable:
+    entries = [ZERO_ENTRY]
+    for i in range(1, P.ambient_dim + 1):
+        s = minima_sandwich(P, None, i, tol)
+        entries.append(TableEntry(s.lower, s.upper, str(s.ub_witness)))
+    return MinimaTable(tuple(entries))
 
 
 # -- direct sum verification -----------------------------------------------------------
@@ -668,34 +700,6 @@ class DirectSumCheck:
     ok: bool
 
 
-def _sandwich_table(P: Polytope, tol: Fraction) -> MinimaTable:
-    entries = [ZERO_ENTRY]
-    for i in range(1, P.ambient_dim + 1):
-        s = minima_sandwich(P, None, i, tol)
-        entries.append(TableEntry(s.lower, s.upper, str(s.ub_witness)))
-    return MinimaTable(tuple(entries))
-
-
-def _reference_entry(S: Polytope, i: int, tol: Fraction) -> TableEntry:
-    """Bracket for ``mu_i(S)`` from the width and the raw oracle alone, so that
-    neither ``recognize`` nor the direct-sum combination enters it."""
-    d = S.ambient_dim
-    if i == 0:
-        return ZERO_ENTRY
-    if i == 1:
-        width, _ = lattice_width(S)
-        return TableEntry.exact(Fraction(1) / width, "reciprocal width")
-
-    def raw(piece: Polytope) -> TableEntry:
-        return covering_radius(piece, tol=tol).interval
-
-    if i == d:
-        return raw(S)
-    lower = max(raw(coord_project(S, idx)).lo for idx in itertools.combinations(range(d), i))
-    upper = intersection_bound(S, Lattice.standard(d), i, raw).hi
-    return TableEntry(lower, upper, ORACLE)
-
-
 def verify_direct_sum(
     K: Polytope,
     L: Polytope,
@@ -706,19 +710,16 @@ def verify_direct_sum(
 
     Combines the summands' sandwich tables and checks that the result lies,
     within ``2 tol``, inside a reference bracket for the sum ``S``: the
-    reciprocal lattice width at ``i = 1``, the oracle's covering radius at
-    the top index, and in between the largest oracle covering radius of a
-    coordinate projection below and the intersection bound over oracle slice
-    radii above.
-
-    Raises:
-        SliceDegenerate: in between, when a coordinate slice of ``S`` is
-            lower-dimensional.
+    generic bracket of ``S`` over the width and the raw oracle, so that
+    neither ``recognize`` nor the combination enters it.
     """
     S = direct_sum(K, L)
     if not 0 <= i <= S.ambient_dim:
         raise IndexOutOfRange(f"index {i} outside 0..{S.ambient_dim}")
     combined = combine_direct_sum(_sandwich_table(K, tol), _sandwich_table(L, tol), i)[0]
-    reference = _reference_entry(S, i, tol)
+    reference = ZERO_ENTRY
+    if i > 0:
+        s = _bracket(S, i, _PieceEvaluator(tol, closed_forms=False))
+        reference = TableEntry(s.lower, s.upper, ORACLE)
     ok = reference.lo - 2 * tol <= combined.lo and combined.hi <= reference.hi + 2 * tol
     return DirectSumCheck(i, combined, reference, ok)

@@ -52,6 +52,7 @@ class Polytope:
         self.ambient_dim = d
         self._hull: tuple[tuple[RatVec, ...], tuple[Facet, ...]] | None = None
         self._dim: int | None = None
+        self._hash: int | None = None
 
     # -- basic structure ---------------------------------------------------
 
@@ -93,6 +94,7 @@ class Polytope:
         p.ambient_dim = ambient_dim
         p._hull = (p._points, tuple(facets))
         p._dim = ambient_dim
+        p._hash = None
         return p
 
     # -- predicates ----------------------------------------------------------
@@ -114,8 +116,11 @@ class Polytope:
         return self._points == other._points
 
     def __hash__(self) -> int:
-        pts = self.vertices if self.is_full_dimensional() else self._points
-        return hash((self.ambient_dim, pts))
+        # equal bodies share their bounding box, which needs no hull; memo
+        # keys hash one body many times, so the value is kept
+        if self._hash is None:
+            self._hash = hash((self.ambient_dim, self.bbox()))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Polytope({list(self._points)!r})"
@@ -132,12 +137,6 @@ class Polytope:
             )
             return Polytope._from_hull(verts, facets, self.ambient_dim)
         return Polytope(moved)
-
-    def scale(self, c) -> "Polytope":
-        c = Fraction(c)
-        if c <= 0:
-            raise InputError("scale factor must be positive")
-        return Polytope([tuple(c * e for e in p) for p in self._points])
 
     def bbox(self) -> tuple[RatVec, RatVec]:
         lo = tuple(min(p[i] for p in self._points) for i in range(self.ambient_dim))
@@ -210,12 +209,6 @@ def gauge(P: Polytope, x) -> Fraction:
         if val > worst:
             worst = val
     return worst
-
-
-def support(P: Polytope, f) -> Fraction:
-    """Support function ``max_{v in P} f . v`` (evaluated on the vertices)."""
-    f = vec(f)
-    return max(dot(f, v) for v in P.vertices)
 
 
 def center_translate(P: Polytope) -> tuple[Polytope, RatVec]:

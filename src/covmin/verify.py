@@ -13,6 +13,7 @@ from fractions import Fraction
 from .bounds import (
     bound_table,
     kl_bound,
+    terminal_intersection_bound,
     terminal_kl_bound,
     terminal_projection_bound,
     weighted_intersection_bound,
@@ -209,12 +210,18 @@ def suite_terminal(tol: Fraction = DEFAULT_TOL) -> list[CheckResult]:
         "projection bound vs chain ordering d<=8", ordering,
         "projection <= chain, equal only at i=2", ordering,
     ))
-    s = minima_sandwich(terminal_simplex(3), None, 2, tol)
-    checks.append(_check(
-        "terminal d=3 sandwich at index 2",
-        s.lower >= 1 - tol and s.upper <= Fraction(5, 4) and s.lower <= 1 <= s.upper,
-        "[1, 5/4] bracketing 1", f"[{s.lower}, {s.upper}]",
-    ))
+    # the paper's reproduction: lower end i/2, upper end its least closed form
+    for d in range(3, 7):
+        for i in range(2, d):
+            bounds = [terminal_projection_bound(d, i), terminal_intersection_bound(d, i)]
+            if d <= 4:
+                bounds.append(terminal_kl_bound(d, i))
+            want = (Fraction(i, 2), min(bounds))
+            s = minima_sandwich(terminal_simplex(d), None, i, tol)
+            got = (s.lower, s.upper)
+            checks.append(_check(
+                f"terminal d={d} sandwich at index {i}", got == want, want, got,
+            ))
     return checks
 
 

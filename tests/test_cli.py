@@ -161,6 +161,15 @@ class TestBasicCommands:
         assert "FAIL segment sum seed 1 at index 1" in text
 
 
+    def test_minima_first_index_is_reciprocal_width(self):
+        body = ('{"vertices":[["-2","-1","-1"],["-1","-2","-1"],["-1","-1","-2"],'
+                '["0","-1","1"],["0","-1","2"],["2","2","1"]]}')
+        code, text = run_cli("minima", "--body", body, "--i", "1")
+        assert code == EXIT_OK
+        assert table_rows(text)[1] == [
+            "1", "1/2", "1/2", "exact", "reciprocal lattice width", "reciprocal lattice width"]
+
+
 class TestDeterminism:
     def test_identical_runs(self):
         first = run_cli("minima", "--family", "terminal", "--d", "2", "--i", "1..2",

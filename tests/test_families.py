@@ -13,10 +13,10 @@ from covmin.families import (
     TableEntry,
     box,
     box_minima_table,
+    combine_direct_sum,
     crosspolytope,
     crosspolytope_table,
     cube,
-    direct_sum_minima,
     direct_sum_table,
     match_box,
     match_weighted_simplex,
@@ -159,19 +159,19 @@ class TestDirectSumTables:
         seg = box_minima_table([(-1, 1)])
         cross2 = crosspolytope_table(2)
         for i in range(4):
-            got = direct_sum_minima(seg, cross2, i)
+            got = combine_direct_sum(seg, cross2, i)[0]
             assert got.value == crosspolytope_table(3)[i].value
 
     def test_additivity_at_top_index(self):
         a = weighted_minima_table(weights([F(1, 2), 1]))
         b = weighted_minima_table(weights([1, F(1, 3)]))
-        top = direct_sum_minima(a, b, 2)
+        top = combine_direct_sum(a, b, 2)[0]
         assert top.value == a[1].value + b[1].value
 
     def test_first_index_is_max(self):
         a = weighted_minima_table(weights([F(1, 2), 1]))  # mu_1 = 2/3
         b = weighted_minima_table(weights([1, 1]))  # mu_1 = 1/2
-        assert direct_sum_minima(a, b, 1).value == F(2, 3)
+        assert combine_direct_sum(a, b, 1)[0].value == F(2, 3)
 
     def test_interval_propagation(self):
         a = MinimaTable((
@@ -182,7 +182,7 @@ class TestDirectSumTables:
             TableEntry.exact(0, "zero"),
             TableEntry.exact(1, "exact"),
         ))
-        got = direct_sum_minima(a, b, 2)
+        got = combine_direct_sum(a, b, 2)[0]
         assert (got.lo, got.hi) == (F(3, 2), F(7, 4))
 
     def test_conjectured_flag_propagates_when_decisive(self):
@@ -194,15 +194,15 @@ class TestDirectSumTables:
             TableEntry.exact(0, "zero"),
             TableEntry.exact(1, "exact"),
         ))
-        assert direct_sum_minima(a, b, 1).conjectured
+        assert combine_direct_sum(a, b, 1)[0].conjectured
         # dominated conjecture does not taint the certified result
-        assert not direct_sum_minima(b, b, 1).conjectured
+        assert not combine_direct_sum(b, b, 1)[0].conjectured
 
     def test_any_conjectured_allocation_flags(self):
         # mu_2(T_3) is only known to lie in [1, 5/4], so the allocation
         # 1/2 + mu_2(T_3) may exceed the others and the result is unproven
         t3 = weighted_minima_table(weights([1, 1, 1, 1]))
-        got = direct_sum_minima(t3, t3, 3)
+        got = combine_direct_sum(t3, t3, 3)[0]
         assert got.value == F(3, 2)
         assert got.conjectured
 
@@ -215,7 +215,7 @@ class TestDirectSumTables:
     def test_index_out_of_range(self):
         a = crosspolytope_table(2)
         with pytest.raises(IndexOutOfRange):
-            direct_sum_minima(a, a, 5)
+            combine_direct_sum(a, a, 5)
 
 
 class TestSegmentSums:

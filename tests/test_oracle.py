@@ -1,6 +1,7 @@
 """Certified oracle: covering radius, width, successive minima, sandwich."""
 
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -288,15 +289,111 @@ class TestSandwich:
         assert top.is_exact and top.lower == 3
 
     def test_extra_projection_strengthens_lower_bound(self):
-        # sheared cube: its width direction is not a coordinate axis
+        # a sheared square: its width direction is not a coordinate axis, yet
+        # mu_1 = 1/width is exact without help
         sheared = Polytope([(3, 2), (1, 0), (-1, 0), (-3, -2)])
         plain = minima_sandwich(sheared, None, 1, TOL)
-        assert plain.lower == F(1, 4)  # best coordinate projection
+        assert plain.is_exact and plain.lower == F(1, 2)
+        # its direct sum with [-1, 1] has mu_2 = 1/2 + 1/2; the coordinate
+        # projections reach 3/4, the projection along (1, -1, 0) reaches 1
+        body = Polytope([(3, 2, 0), (1, 0, 0), (-1, 0, 0), (-3, -2, 0), (0, 0, 1), (0, 0, -1)])
+        tol = F(1, 100)
+        plain = minima_sandwich(body, None, 2, tol)
+        assert plain.lower == F(3, 4) and plain.upper == 1
         helped = minima_sandwich(
-            sheared, None, 1, TOL, extra_projections=(((1, -1),),)
+            body, None, 2, tol, extra_projections=(((1, -1, 0), (0, 0, 1)),)
         )
-        assert helped.lower == F(1, 2)
-        assert helped.is_exact  # meets the exact reciprocal width upper bound
+        assert helped.lower == 1 and helped.lb_witness == "user projection"
+        assert helped.is_exact
+
+
+class TestPieceEvaluator:
+    """Each piece of one sandwich is evaluated once, and i = 1 is 1/width."""
+
+    POLYGON = Polytope([(2, 0), (0, 2), (-1, -1), (1, -1)])
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import covmin.oracle
+
+        counts = {"covering_radius": 0, "lattice_width": 0}
+        for name in counts:
+            original = getattr(covmin.oracle, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(covmin.oracle, name, counted)
+        return counts
+
+    def test_first_index_is_one_width_call(self, calls):
+        s = minima_sandwich(self.POLYGON, None, 1)
+        assert s.is_exact and s.lower == F(1, 3)
+        assert calls == {"covering_radius": 0, "lattice_width": 1}
+
+    def test_top_index_runs_the_oracle_once(self, calls):
+        s = minima_sandwich(self.POLYGON, None, 2)
+        assert (s.lower, s.upper) == (F(4181, 7168), F(28673, 49152))
+        assert calls["covering_radius"] == 1
+
+    def test_width_over_budget_falls_back_to_the_bracket(self, monkeypatch):
+        import covmin.oracle
+
+        def over_budget(*args, **kwargs):
+            raise BudgetExceeded("width search over its cap")
+
+        monkeypatch.setattr(covmin.oracle, "lattice_width", over_budget)
+        s = minima_sandwich(self.POLYGON, None, 1)
+        assert not s.is_exact and s.lower <= F(1, 3) <= s.upper
+
+    def test_terminal6_leaves_read_the_recognized_tables(self, calls):
+        # the paper's values; every projection the recursion meets is a T_k
+        want = {2: (1, F(19, 14)), 3: (F(3, 2), F(15, 7)), 4: (2, F(18, 7)), 5: (F(5, 2), F(20, 7))}
+        T6 = terminal_simplex(6)
+        for i, bracket in want.items():
+            s = minima_sandwich(T6, None, i)
+            assert (s.lower, s.upper) == bracket
+        assert calls == {"covering_radius": 0, "lattice_width": 0}
+
+    def test_box_by_points_needs_no_hull(self):
+        # 64 corner points exceed the hull's subset cap; the box test reads
+        # the points alone, and the memo must not build a hull either
+        corners = Polytope(itertools.product((-1, 1), repeat=6))
+        s = minima_sandwich(corners, None, 3)
+        assert s.is_exact and s.lower == F(1, 2)
+        assert covering_radius_value(corners).value == F(1, 2)
+
+    def test_rational_projection_lower(self):
+        # the projection along (1, -1) maps the sheared square onto [-1, 1]
+        from covmin.oracle import _PieceEvaluator, _rational_projection_lower
+
+        sheared = Polytope([(3, 2), (1, 0), (-1, 0), (-3, -2)])
+        value = _rational_projection_lower(
+            sheared, Lattice.standard(2), ((1, -1),), _PieceEvaluator(TOL))
+        assert value == F(1, 2)
+
+    def test_split_body_combines_certified_block_brackets(self, monkeypatch):
+        # mu_2 and mu_3 of T_3 are conjectured, so the blocks' sandwiches
+        # combine and no upper bound is computed on the whole 4-dimensional sum
+        import covmin.oracle
+
+        dims = []
+        original = covmin.oracle.upper_bound_reports
+
+        def recorded(Kt, i, pieces):
+            dims.append(Kt.ambient_dim)
+            return original(Kt, i, pieces)
+
+        monkeypatch.setattr(covmin.oracle, "upper_bound_reports", recorded)
+        body = terminal_polytope([3, 1])
+        start = time.perf_counter()
+        two = minima_sandwich(body, None, 2)
+        three = minima_sandwich(body, None, 3)
+        assert time.perf_counter() - start < 5  # about 0.3 s; the whole sum took 32 s
+        assert (two.lower, two.upper) == (1, F(5, 4))
+        assert (three.lower, three.upper) == (F(3, 2), F(7, 4))
+        assert dims and max(dims) == 3
 
 
 class TestVerifyDirectSum:

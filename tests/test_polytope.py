@@ -17,7 +17,6 @@ from covmin.polytope import (
     direct_sum,
     gauge,
     is_locally_anti_blocking,
-    support,
 )
 
 F = Fraction
@@ -132,22 +131,6 @@ class TestGauge:
         for P in (cube(2), T2, crosspolytope(2)):
             mid = tuple((a + b) / 2 for a, b in zip(x, y))
             assert gauge(P, mid) * 2 <= gauge(P, x) + gauge(P, y)
-
-
-class TestSupport:
-    def test_cube(self):
-        assert support(cube(3), (1, 0, 0)) == 1
-
-    def test_terminal_width_two_along_axis(self):
-        for d in (2, 3):
-            P = terminal_simplex(d)
-            e1 = tuple([1] + [0] * (d - 1))
-            assert support(P, e1) == 1
-            assert support(P, tuple(-x for x in e1)) == 1
-
-    def test_segment(self):
-        P = Polytope([(F(-1, 2),), (F(5, 3),)])
-        assert support(P, (1,)) == F(5, 3)
 
 
 class TestCenterTranslate:
